@@ -22,6 +22,12 @@
 //!   bench `ablation_window`).
 //! * **Sliding window.** For multi-thousand-period runs (Fig. 14) the GP
 //!   keeps the most recent `max_observations` points.
+//! * **Staged posterior.** Each GP evaluates only the candidates a later
+//!   step reads: the delay GP all of them, the mAP GP the delay-safe ones
+//!   (plus `S_0`), the cost GP the safe set plus `S_0`. The batched
+//!   posterior computes every candidate column on its own, so the values
+//!   read, and hence every decision, are bit-identical to evaluating all
+//!   three GPs over every candidate (DESIGN.md §3).
 
 use crate::api::{Constraints, Feedback, GridAgent};
 use crate::grid::ControlGrid;
@@ -148,6 +154,12 @@ impl Scale {
     }
 }
 
+/// Positions of the cost, delay and mAP models in `EdgeBol::gps`,
+/// `EdgeBol::scales` and `EdgeBol::noise_std_raw`.
+const COST: usize = 0;
+const DELAY: usize = 1;
+const MAP: usize = 2;
+
 /// The EdgeBOL agent.
 pub struct EdgeBol {
     cfg: EdgeBolConfig,
@@ -179,6 +191,9 @@ pub struct EdgeBol {
     /// (avoids one `|cand| * dims` allocation per function per period).
     z_scratch: Vec<f64>,
     rng: SmallRng,
+    /// Candidate columns each GP's posterior has evaluated (tests only).
+    #[cfg(test)]
+    columns: [usize; 3],
     /// Updates received so far.
     t: usize,
     /// Constraints can change at runtime (Fig. 14); the GPs carry over.
@@ -210,6 +225,8 @@ impl EdgeBol {
             elites: Vec::new(),
             z_scratch: Vec::new(),
             rng,
+            #[cfg(test)]
+            columns: [0; 3],
             t: 0,
             constraints,
             noise_std_raw: [0.0; 3],
@@ -323,52 +340,65 @@ impl EdgeBol {
         cand
     }
 
-    /// Posterior over the candidates for all three functions, in raw
-    /// (unstandardized) units. Returns `(means, stds)` per function.
-    fn posterior(&mut self, context: &[f64], cand: &[usize]) -> [(Vec<f64>, Vec<f64>); 3] {
-        let dims = self.cfg.context_dims + self.grid.dims();
+    /// Writes the GP inputs `z = (context, x)` of `controls` into
+    /// `z_scratch`, one row per control.
+    fn load_z(&mut self, context: &[f64], controls: impl IntoIterator<Item = usize>) {
         self.z_scratch.clear();
-        self.z_scratch.reserve(cand.len() * dims);
-        for &idx in cand {
+        for idx in controls {
             self.grid.write_z(context, idx, &mut self.z_scratch);
         }
-        let flat = &self.z_scratch;
-        let scales = self.scales.expect("posterior requires built GPs");
-        let gps = self.gps.as_mut().expect("posterior requires built GPs");
-        let mut out: [(Vec<f64>, Vec<f64>); 3] =
-            [(Vec::new(), Vec::new()), (Vec::new(), Vec::new()), (Vec::new(), Vec::new())];
-        for (i, gp) in gps.iter_mut().enumerate() {
-            let (m, s) = gp.predict_batch(flat);
-            let scale = scales[i];
-            out[i] = (
-                m.into_iter().map(|v| scale.mean_from_scaled(v)).collect(),
-                s.into_iter().map(|v| scale.std_from_scaled(v)).collect(),
-            );
-        }
-        out
     }
 
-    /// The safe mask over candidates (eq. 8), before the `S_0` union.
+    /// Posterior of GP `k` over the rows of `z_scratch`, in raw
+    /// (unstandardized) units: `(means, stds)`, one entry per row.
+    fn posterior_of(&mut self, k: usize) -> (Vec<f64>, Vec<f64>) {
+        let scale = self.scales.expect("posterior requires built GPs")[k];
+        let gp = &mut self.gps.as_mut().expect("posterior requires built GPs")[k];
+        #[cfg(test)]
+        {
+            self.columns[k] += self.z_scratch.len() / gp.kernel().dim();
+        }
+        let (m, s) = gp.predict_batch(&self.z_scratch);
+        (
+            m.into_iter().map(|v| scale.mean_from_scaled(v)).collect(),
+            s.into_iter().map(|v| scale.std_from_scaled(v)).collect(),
+        )
+    }
+
+    fn in_s0(&self, idx: usize) -> bool {
+        self.s0.binary_search(&idx).is_ok()
+    }
+
+    /// The safe set of eq. (8) over `cand`, before the `S_0` union, in two
+    /// stages: the delay GP evaluates every candidate, the mAP GP only the
+    /// delay-safe ones and the members of `S_0`.
     ///
     /// The confidence width combines the GP's epistemic uncertainty with
     /// the (frozen) observation-noise std: eq. (2) constrains the *noisy
     /// realizations* `d_t`, `rho_t`, so a control whose latent mean hugs
     /// the boundary would still violate ~half the periods.
-    fn safe_mask(&self, delay: &(Vec<f64>, Vec<f64>), map: &(Vec<f64>, Vec<f64>)) -> Vec<bool> {
+    fn safe_stages(&mut self, context: &[f64], cand: &[usize]) -> SafeStages {
         let b = self.cfg.beta_sqrt;
         let c = self.constraints;
         // Observation-noise backoff at a ~90% one-sided quantile: the
         // realized KPIs, not just the latent means, must satisfy eq. (2)
         // "with very high probability" (§6.2) — but a full beta-width
         // noise backoff would freeze safe-set expansion entirely.
-        let zd = 1.3 * self.noise_std_raw[1];
-        let zm = 1.3 * self.noise_std_raw[2];
-        (0..delay.0.len())
-            .map(|j| {
-                delay.0[j] + b * delay.1[j] + zd <= c.d_max
-                    && map.0[j] - b * map.1[j] - zm >= c.rho_min
-            })
-            .collect()
+        let zd = 1.3 * self.noise_std_raw[DELAY];
+        let zm = 1.3 * self.noise_std_raw[MAP];
+        self.load_z(context, cand.iter().copied());
+        let delay = self.posterior_of(DELAY);
+        let delay_safe = |j: usize| delay.0[j] + b * delay.1[j] + zd <= c.d_max;
+        let rows: Vec<usize> =
+            (0..cand.len()).filter(|&j| delay_safe(j) || self.in_s0(cand[j])).collect();
+        self.load_z(context, rows.iter().map(|&j| cand[j]));
+        let map = self.posterior_of(MAP);
+        let safe = rows
+            .iter()
+            .enumerate()
+            .map(|(i, &j)| delay_safe(j) && map.0[i] - b * map.1[i] - zm >= c.rho_min)
+            .collect();
+        SafeStages { delay, rows, map, safe }
     }
 
     /// Estimated safe-set size over the *full* grid for the given context
@@ -378,10 +408,14 @@ impl EdgeBol {
             return self.s0.len();
         }
         let cand: Vec<usize> = (0..self.grid.len()).collect();
-        let [_, delay, map] = self.posterior(context, &cand);
-        let mask = self.safe_mask(&delay, &map);
-        let mut safe: Vec<usize> =
-            cand.iter().zip(&mask).filter(|(_, &m)| m).map(|(&i, _)| i).collect();
+        let stages = self.safe_stages(context, &cand);
+        let mut safe: Vec<usize> = stages
+            .rows
+            .iter()
+            .zip(&stages.safe)
+            .filter(|(_, &s)| s)
+            .map(|(&j, _)| cand[j])
+            .collect();
         safe.extend_from_slice(&self.s0);
         safe.sort_unstable();
         safe.dedup();
@@ -391,11 +425,13 @@ impl EdgeBol {
     /// Debug introspection: posterior `(cost mu, cost sd, delay mu,
     /// delay sd)` in raw units at one control.
     pub fn debug_posterior(&mut self, context: &[f64], idx: usize) -> (f64, f64, f64, f64) {
-        let [cost, delay, _] = self.posterior(context, &[idx]);
+        self.load_z(context, [idx]);
+        let cost = self.posterior_of(COST);
+        let delay = self.posterior_of(DELAY);
         (cost.0[0], cost.1[0], delay.0[0], delay.1[0])
     }
 
-    /// Monte-Carlo estimate of the safe-set size: evaluates the safe mask
+    /// Monte-Carlo estimate of the safe-set size: evaluates the safe set
     /// on `samples` random grid points and scales the hit fraction to
     /// `|X|`. Orders of magnitude cheaper than [`Self::safe_set_size`] for
     /// per-period logging (Fig. 13) at the cost of sampling error
@@ -406,9 +442,7 @@ impl EdgeBol {
         }
         let n = samples.min(self.grid.len()).max(1);
         let cand: Vec<usize> = (0..n).map(|_| self.rng.random_range(0..self.grid.len())).collect();
-        let [_, delay, map] = self.posterior(context, &cand);
-        let mask = self.safe_mask(&delay, &map);
-        let hits = mask.iter().filter(|&&m| m).count();
+        let hits = self.safe_stages(context, &cand).safe.iter().filter(|&&s| s).count();
         let est = (hits as f64 / n as f64 * self.grid.len() as f64).round() as usize;
         est.max(self.s0.len())
     }
@@ -719,6 +753,33 @@ impl EdgeBol {
     }
 }
 
+/// Eq. (8) over one candidate list, as [`EdgeBol::safe_stages`] computes
+/// it.
+struct SafeStages {
+    /// Delay posterior `(mu, sigma)` per candidate, in raw units.
+    delay: (Vec<f64>, Vec<f64>),
+    /// Ascending positions of the candidates the mAP GP evaluated: the
+    /// delay-safe ones and the members of `S_0`.
+    rows: Vec<usize>,
+    /// mAP posterior `(mu, sigma)` per entry of `rows`, in raw units.
+    map: (Vec<f64>, Vec<f64>),
+    /// Whether each entry of `rows` passes both tests of eq. (8).
+    safe: Vec<bool>,
+}
+
+/// The control with the lowest score, the first one on ties.
+fn argmin(scored: impl IntoIterator<Item = (usize, f64)>) -> usize {
+    let mut best: Option<(usize, f64)> = None;
+    for (idx, s) in scored {
+        if best.is_none_or(|(_, bs)| s < bs) {
+            best = Some((idx, s));
+        }
+    }
+    // The admissible set always contains S_0; without the mask every
+    // candidate competes.
+    best.expect("candidate set never empty").0
+}
+
 fn kernel_kind_byte(kind: KernelKind) -> u8 {
     match kind {
         KernelKind::Matern32 => 0,
@@ -744,45 +805,55 @@ impl GridAgent for EdgeBol {
             return self.warmup_box[pick];
         }
         let cand = self.candidates();
-        let [cost, delay, map] = self.posterior(context, &cand);
-        let mask = self.safe_mask(&delay, &map);
-
         let b = self.cfg.beta_sqrt;
-        // Thompson draws are materialized up front (the scoring closure
-        // cannot borrow the RNG mutably while the posteriors are borrowed).
-        let thompson: Vec<f64> = if self.cfg.acquisition == Acquisition::ThompsonSampling {
-            (0..cand.len())
-                .map(|j| cost.0[j] + cost.1[j] * edgebol_linalg::stats::normal01(&mut self.rng))
-                .collect()
+        let acquisition = self.cfg.acquisition;
+        let chosen = if acquisition == Acquisition::UnconstrainedLcb {
+            // Never reads the safe set: the cost GP alone, over every
+            // candidate.
+            self.load_z(context, cand.iter().copied());
+            let (mu, sd) = self.posterior_of(COST);
+            argmin(cand.iter().enumerate().map(|(j, &idx)| (idx, mu[j] - b * sd[j])))
         } else {
-            Vec::new()
-        };
-        let score = |j: usize| -> f64 {
-            match self.cfg.acquisition {
-                Acquisition::ConstrainedLcb | Acquisition::UnconstrainedLcb => {
-                    cost.0[j] - b * cost.1[j]
-                }
-                // Negated: we minimize the score below.
-                Acquisition::MaxUncertainty => -(delay.1[j].max(map.1[j])),
-                Acquisition::ThompsonSampling => thompson[j],
+            let stages = self.safe_stages(context, &cand);
+            // S_t ∪ S_0 as ascending candidate positions, each paired with
+            // its entry in the mAP stage's rows.
+            let admissible: Vec<(usize, usize)> = stages
+                .rows
+                .iter()
+                .enumerate()
+                .filter(|&(i, &j)| stages.safe[i] || self.in_s0(cand[j]))
+                .map(|(i, &j)| (j, i))
+                .collect();
+            if acquisition == Acquisition::MaxUncertainty {
+                // Negated: argmin picks the largest constraint uncertainty.
+                argmin(
+                    admissible
+                        .iter()
+                        .map(|&(j, i)| (cand[j], -(stages.delay.1[j].max(stages.map.1[i])))),
+                )
+            } else {
+                // The cost GP runs over the admissible candidates only.
+                self.load_z(context, admissible.iter().map(|&(j, _)| cand[j]));
+                let (mu, sd) = self.posterior_of(COST);
+                // One Thompson draw per candidate, admissible or not, keeps
+                // the RNG stream independent of the safe set.
+                let draws: Vec<f64> = if acquisition == Acquisition::ThompsonSampling {
+                    (0..cand.len())
+                        .map(|_| edgebol_linalg::stats::normal01(&mut self.rng))
+                        .collect()
+                } else {
+                    Vec::new()
+                };
+                argmin(admissible.iter().enumerate().map(|(e, &(j, _))| {
+                    let score = if acquisition == Acquisition::ThompsonSampling {
+                        mu[e] + sd[e] * draws[j]
+                    } else {
+                        mu[e] - b * sd[e]
+                    };
+                    (cand[j], score)
+                }))
             }
         };
-
-        let use_mask = self.cfg.acquisition != Acquisition::UnconstrainedLcb;
-        let in_s0 = |idx: usize| self.s0.binary_search(&idx).is_ok();
-        let mut best: Option<(usize, f64)> = None;
-        for (j, &idx) in cand.iter().enumerate() {
-            if use_mask && !mask[j] && !in_s0(idx) {
-                continue;
-            }
-            let s = score(j);
-            if best.is_none_or(|(_, bs)| s < bs) {
-                best = Some((idx, s));
-            }
-        }
-        // The safe set always contains S_0, so `best` is always present
-        // when use_mask is set; without the mask every candidate competes.
-        let chosen = best.expect("candidate set never empty").0;
         self.elites.push(chosen);
         if self.elites.len() > 64 {
             let drop = self.elites.len() - 64;
@@ -1154,6 +1225,219 @@ mod tests {
         let mut agent = EdgeBol::with_grid(cfg(), ControlGrid::new(6, 4));
         agent.restore_state(&snapshot).unwrap();
         assert_eq!(agent.updates(), 20);
+    }
+
+    /// The full posterior of one GP over `cand`, in raw units, computed
+    /// directly (not through the cascade or its column counter).
+    fn full_posterior(
+        agent: &mut EdgeBol,
+        k: usize,
+        context: &[f64],
+        cand: &[usize],
+    ) -> (Vec<f64>, Vec<f64>) {
+        let mut flat = Vec::new();
+        for &idx in cand {
+            agent.grid.write_z(context, idx, &mut flat);
+        }
+        let scale = agent.scales.unwrap()[k];
+        let (m, s) = agent.gps.as_mut().unwrap()[k].predict_batch(&flat);
+        (
+            m.into_iter().map(|v| scale.mean_from_scaled(v)).collect(),
+            s.into_iter().map(|v| scale.std_from_scaled(v)).collect(),
+        )
+    }
+
+    /// The pre-cascade `safe_mask`: eq. (8) per candidate from full
+    /// posteriors, as `(delay test, both tests)`.
+    fn full_safe_mask(
+        agent: &EdgeBol,
+        delay: &(Vec<f64>, Vec<f64>),
+        map: &(Vec<f64>, Vec<f64>),
+    ) -> (Vec<bool>, Vec<bool>) {
+        let b = agent.cfg.beta_sqrt;
+        let c = agent.constraints;
+        let zd = 1.3 * agent.noise_std_raw[1];
+        let zm = 1.3 * agent.noise_std_raw[2];
+        let delay_ok: Vec<bool> =
+            (0..delay.0.len()).map(|j| delay.0[j] + b * delay.1[j] + zd <= c.d_max).collect();
+        let safe = (0..delay.0.len())
+            .map(|j| delay_ok[j] && map.0[j] - b * map.1[j] - zm >= c.rho_min)
+            .collect();
+        (delay_ok, safe)
+    }
+
+    /// The pre-cascade safe mask over `cand`, both constraint posteriors
+    /// computed over every candidate.
+    fn full_safe_set(agent: &mut EdgeBol, context: &[f64], cand: &[usize]) -> Vec<bool> {
+        let delay = full_posterior(agent, DELAY, context, cand);
+        let map = full_posterior(agent, MAP, context, cand);
+        full_safe_mask(agent, &delay, &map).1
+    }
+
+    /// The pre-cascade selector: three full posteriors over every
+    /// candidate, the safe mask, then the acquisition's scan. Returns the
+    /// pick and the columns the cascade should hand the cost, delay and
+    /// mAP GPs for the same candidates.
+    fn reference_select(agent: &mut EdgeBol, context: &[f64]) -> (usize, [usize; 3]) {
+        if agent.in_warmup() {
+            return (agent.select(context), [0; 3]);
+        }
+        let cand = agent.candidates();
+        let cost = full_posterior(agent, COST, context, &cand);
+        let delay = full_posterior(agent, DELAY, context, &cand);
+        let map = full_posterior(agent, MAP, context, &cand);
+        let (delay_ok, mask) = full_safe_mask(agent, &delay, &map);
+        let b = agent.cfg.beta_sqrt;
+        let acquisition = agent.cfg.acquisition;
+        let thompson: Vec<f64> = if acquisition == Acquisition::ThompsonSampling {
+            (0..cand.len())
+                .map(|j| cost.0[j] + cost.1[j] * edgebol_linalg::stats::normal01(&mut agent.rng))
+                .collect()
+        } else {
+            Vec::new()
+        };
+        let score = |j: usize| match acquisition {
+            Acquisition::ConstrainedLcb | Acquisition::UnconstrainedLcb => {
+                cost.0[j] - b * cost.1[j]
+            }
+            Acquisition::MaxUncertainty => -(delay.1[j].max(map.1[j])),
+            Acquisition::ThompsonSampling => thompson[j],
+        };
+        let use_mask = acquisition != Acquisition::UnconstrainedLcb;
+        let mut best: Option<(usize, f64)> = None;
+        for (j, &idx) in cand.iter().enumerate() {
+            if use_mask && !mask[j] && !agent.in_s0(idx) {
+                continue;
+            }
+            let s = score(j);
+            if best.is_none_or(|(_, bs)| s < bs) {
+                best = Some((idx, s));
+            }
+        }
+        let chosen = best.unwrap().0;
+        agent.elites.push(chosen);
+        if agent.elites.len() > 64 {
+            let drop = agent.elites.len() - 64;
+            agent.elites.drain(..drop);
+        }
+        let count =
+            |ok: &[bool]| cand.iter().zip(ok).filter(|&(&idx, &ok)| ok || agent.in_s0(idx)).count();
+        let columns = match acquisition {
+            Acquisition::UnconstrainedLcb => [cand.len(), 0, 0],
+            Acquisition::MaxUncertainty => [0, cand.len(), count(&delay_ok)],
+            Acquisition::ConstrainedLcb | Acquisition::ThompsonSampling => {
+                [count(&mask), cand.len(), count(&delay_ok)]
+            }
+        };
+        (chosen, columns)
+    }
+
+    /// The pre-cascade `safe_set_size_sampled`.
+    fn reference_sampled_size(agent: &mut EdgeBol, context: &[f64], samples: usize) -> usize {
+        if agent.in_warmup() {
+            return agent.s0.len();
+        }
+        let len = agent.grid.len();
+        let n = samples.min(len).max(1);
+        let cand: Vec<usize> = (0..n).map(|_| agent.rng.random_range(0..len)).collect();
+        let hits = full_safe_set(agent, context, &cand).iter().filter(|&&m| m).count();
+        ((hits as f64 / n as f64 * len as f64).round() as usize).max(agent.s0.len())
+    }
+
+    /// The pre-cascade `safe_set_size`.
+    fn reference_full_size(agent: &mut EdgeBol, context: &[f64]) -> usize {
+        let cand: Vec<usize> = (0..agent.grid.len()).collect();
+        let mask = full_safe_set(agent, context, &cand);
+        cand.iter().zip(&mask).filter(|&(&idx, &m)| m || agent.in_s0(idx)).count()
+    }
+
+    /// The staged cascade reproduces the full-posterior selector exactly:
+    /// same picks, same RNG stream and GP windows (byte-equal
+    /// checkpoints), same safe-set counts, and each GP evaluates exactly
+    /// the candidates its stage needs — across seeds, acquisitions,
+    /// hyperparameter fitting and three constraint regimes.
+    #[test]
+    fn staged_select_matches_the_full_posterior_reference() {
+        // Both constraints bind: delay falls with resources, mAP rises
+        // with the first control dimension.
+        let env = |grid: &ControlGrid, idx: usize| {
+            let c = grid.coords(idx);
+            let level = c.iter().sum::<f64>() / c.len() as f64;
+            Feedback {
+                cost: 100.0 + 200.0 * level,
+                delay_s: 0.9 - 0.8 * level,
+                map: 0.3 + 0.6 * c[0],
+            }
+        };
+        let regimes = [
+            ("only S0", Constraints { d_max: 0.0, rho_min: 2.0 }),
+            ("boundary", Constraints { d_max: 0.5, rho_min: 0.6 }),
+            ("all safe", Constraints { d_max: 1e3, rho_min: -1e3 }),
+        ];
+        let acquisitions = [
+            Acquisition::ConstrainedLcb,
+            Acquisition::MaxUncertainty,
+            Acquisition::UnconstrainedLcb,
+            Acquisition::ThompsonSampling,
+        ];
+        let ctx = [0.5, 0.5, 0.1];
+        for seed in 0..20u64 {
+            for acquisition in acquisitions {
+                for fit_hyperparams in [false, true] {
+                    for (r, &(regime, constraints)) in regimes.iter().enumerate() {
+                        let mut c = cfg();
+                        c.seed = seed;
+                        c.acquisition = acquisition;
+                        c.fit_hyperparams = fit_hyperparams;
+                        c.constraints = constraints;
+                        c.candidate_subsample = Some(256);
+                        let mut staged = EdgeBol::with_grid(c.clone(), ControlGrid::new(6, 4));
+                        let mut reference = EdgeBol::with_grid(c, ControlGrid::new(6, 4));
+                        let case = format!(
+                            "seed {seed}, {acquisition:?}, fit {fit_hyperparams}, {regime}"
+                        );
+                        for step in 0..20 {
+                            let before = staged.columns;
+                            let a = staged.select(&ctx);
+                            let (b, want) = reference_select(&mut reference, &ctx);
+                            assert_eq!(a, b, "{case}: pick diverged at step {step}");
+                            let seen: Vec<usize> =
+                                (0..3).map(|k| staged.columns[k] - before[k]).collect();
+                            assert_eq!(
+                                seen, want,
+                                "{case}: [cost, delay, mAP] columns at step {step}"
+                            );
+                            let fb = env(staged.grid(), a);
+                            staged.update(&ctx, a, &fb);
+                            reference.update(&ctx, b, &fb);
+                            assert_eq!(
+                                staged.safe_set_size_sampled(&ctx, 64),
+                                reference_sampled_size(&mut reference, &ctx, 64),
+                                "{case}: sampled safe-set size at step {step}"
+                            );
+                            assert!(
+                                staged.save_state() == reference.save_state(),
+                                "{case}: checkpoints differ after update {step}"
+                            );
+                        }
+                        let size = staged.safe_set_size(&ctx);
+                        assert_eq!(
+                            size,
+                            reference_full_size(&mut reference, &ctx),
+                            "{case}: full-grid safe-set size"
+                        );
+                        // The regime is what it claims to be.
+                        let len = staged.grid().len();
+                        let in_regime = match r {
+                            0 => size == 1,
+                            1 => 1 < size && size < len,
+                            _ => size == len,
+                        };
+                        assert!(in_regime, "{case}: safe set of {size} of {len} controls");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

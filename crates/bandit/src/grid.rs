@@ -92,7 +92,21 @@ impl ControlGrid {
     /// (max-resource controls are delay-minimal, hence feasible whenever
     /// the problem is feasible at all).
     pub fn corner_box(&self, threshold: f64) -> Vec<usize> {
-        (0..self.len()).filter(|&i| self.coords(i).iter().all(|&c| c >= threshold)).collect()
+        // The per-level test once, on the same unit coordinate `coords`
+        // computes; each index then only checks its digits against it.
+        let level_ok: Vec<bool> = (0..self.levels)
+            .map(|level| level as f64 / (self.levels - 1) as f64 >= threshold)
+            .collect();
+        (0..self.len())
+            .filter(|&i| {
+                let mut rem = i;
+                (0..self.dims).all(|_| {
+                    let level = rem % self.levels;
+                    rem /= self.levels;
+                    level_ok[level]
+                })
+            })
+            .collect()
     }
 
     /// One-step axis neighbours of a grid point (up to `2 * dims`).
@@ -201,6 +215,21 @@ mod tests {
         assert!(s0.contains(&g.max_corner()));
         for &i in &s0 {
             assert!(g.coords(i).iter().all(|&c| c >= 0.8 - 1e-12));
+        }
+    }
+
+    #[test]
+    fn corner_box_matches_the_coords_definition() {
+        for levels in 2..=12 {
+            for dims in 1..=4 {
+                let g = ControlGrid::new(levels, dims);
+                for threshold in [0.0, 0.1, 0.3, 0.5, 0.8, 0.9, 1.0] {
+                    let want: Vec<usize> = (0..g.len())
+                        .filter(|&i| g.coords(i).iter().all(|&c| c >= threshold))
+                        .collect();
+                    assert_eq!(g.corner_box(threshold), want, "{levels}^{dims} at {threshold}");
+                }
+            }
         }
     }
 
