@@ -1,4 +1,5 @@
-//! CI perf gate for the GP sliding-window eviction path.
+//! CI perf gate for the GP sliding-window eviction path and the batched
+//! posterior.
 //!
 //! Measures the at-capacity `observe` cost (evict + bordered append) at
 //! the paper-scale window `T = 200` under both eviction strategies and
@@ -13,18 +14,33 @@
 //!   machine-independent, so this arm still bites on CI runners much
 //!   slower or faster than the baseline box.
 //!
-//! A batched-posterior sanity bound rides along: the `T = 200`,
-//! `M = 1000` batch predict must stay under `EDGEBOL_GATE_BATCH_US`
-//! (default 50 000 µs, ~2× the measured figure — a coarse tripwire for
-//! accidental de-batching, not a tight regression bound).
+//! The batched posterior at `T = 200`, `M = 1000` rides along with two
+//! arms of its own:
 //!
-//! Medians over `EDGEBOL_GATE_SAMPLES` (default 30) individually-timed
-//! steady-state iterations after 3 warm-ups each; deterministic
-//! workload, no RNG.
+//! * **Absolute**: the batch predict must stay under
+//!   `EDGEBOL_GATE_BATCH_US` (default 50 000 µs — a coarse tripwire for
+//!   accidental de-batching, not a tight regression bound).
+//! * **Relative**: it must run at least [`MIN_BATCH_SPEEDUP`] (2×) faster
+//!   than 1 000 pointwise `predict` calls on the same GP, timed in the
+//!   same process. Both paths must produce the same columns bit for bit
+//!   (checked first, a failure of its own), so the ratio measures only
+//!   what batching and the cache-tiled posterior save, on any machine.
+//!   The two are timed in alternating pairs and the gate reads the median
+//!   per-pair ratio, which a shared host's drift within a run moves
+//!   least.
+//!
+//! Medians over `EDGEBOL_GATE_SAMPLES` (default 30; at most 10 pairs for
+//! the posterior arms) individually-timed steady-state iterations after
+//! 3 warm-ups each; deterministic workload, no RNG.
 
 use edgebol_bench::env::usize_knob;
 use edgebol_gp::{EvictStrategy, GaussianProcess, Kernel};
+use std::hint::black_box;
 use std::time::Instant;
+
+/// Least speedup of one batched posterior over the same columns computed
+/// pointwise.
+const MIN_BATCH_SPEEDUP: f64 = 2.0;
 
 /// Deterministically filled GP at exactly its window capacity.
 fn gp_at_cap(cap: usize, strategy: EvictStrategy) -> GaussianProcess {
@@ -55,12 +71,43 @@ fn median_us<T>(samples: usize, state: &mut T, mut f: impl FnMut(&mut T)) -> f64
         f(state);
     }
     for _ in 0..samples {
-        let t0 = Instant::now();
-        f(state);
-        times.push(t0.elapsed().as_secs_f64() * 1e6);
+        times.push(time_us(state, &mut f));
     }
-    times.sort_by(|a, b| a.total_cmp(b));
-    times[times.len() / 2]
+    median(times)
+}
+
+/// Times `a` and `b` alternately, `samples` pairs after 3 warm-up pairs,
+/// and returns each side's median in microseconds and the median of the
+/// per-pair ratios `b / a`. Each pair runs under the same host load, so
+/// the ratio holds steady on a shared machine whose speed drifts within
+/// a run.
+fn paired_medians_us<T>(
+    samples: usize,
+    state: &mut T,
+    mut a: impl FnMut(&mut T),
+    mut b: impl FnMut(&mut T),
+) -> (f64, f64, f64) {
+    let (mut ta, mut tb, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
+    for i in 0..samples + 3 {
+        let (da, db) = (time_us(state, &mut a), time_us(state, &mut b));
+        if i >= 3 {
+            ta.push(da);
+            tb.push(db);
+            ratios.push(db / da);
+        }
+    }
+    (median(ta), median(tb), median(ratios))
+}
+
+fn time_us<T>(state: &mut T, f: &mut impl FnMut(&mut T)) -> f64 {
+    let t0 = Instant::now();
+    f(state);
+    t0.elapsed().as_secs_f64() * 1e6
+}
+
+fn median(mut v: Vec<f64>) -> f64 {
+    v.sort_by(|a, b| a.total_cmp(b));
+    v[v.len() / 2]
 }
 
 fn main() {
@@ -81,9 +128,23 @@ fn main() {
         gp.observe(&[0.5 + t; 7], 1.0).unwrap();
     });
     let queries: Vec<f64> = (0..1000 * 7).map(|i| (i % 97) as f64 / 97.0).collect();
-    let batch = median_us(samples.min(10), &mut gp_down, |gp| {
-        gp.predict_batch(&queries);
+    let (means, stds) = gp_down.predict_batch(&queries);
+    let identical = queries.chunks(7).zip(means.iter().zip(&stds)).all(|(z, (m, s))| {
+        let (pm, ps) = gp_down.predict(z);
+        pm.to_bits() == m.to_bits() && ps.to_bits() == s.to_bits()
     });
+    let (batch, pointwise, speedup) = paired_medians_us(
+        samples.min(10),
+        &mut gp_down,
+        |gp| {
+            black_box(gp.predict_batch(black_box(&queries)));
+        },
+        |gp| {
+            for z in queries.chunks(7) {
+                black_box(gp.predict(black_box(z)));
+            }
+        },
+    );
 
     let ratio = rebuild / downdate;
     println!("perf gate (median over {samples} samples, window T=200):");
@@ -91,6 +152,8 @@ fn main() {
     println!("  gp_observe_evict_refactor_T200  {rebuild:10.1} us");
     println!("  rebuild/downdate ratio          {ratio:10.1}x   (bound >= {min_ratio}x)");
     println!("  gp_predict_batch_T200_M1000     {batch:10.1} us  (bound {batch_bound_us} us)");
+    println!("  gp_predict_pointwise_T200_x1000 {pointwise:10.1} us");
+    println!("  pointwise/batch ratio           {speedup:10.2}x   (bound >= {MIN_BATCH_SPEEDUP}x)");
 
     let mut failed = false;
     if downdate > evict_bound_us {
@@ -103,6 +166,16 @@ fn main() {
     }
     if batch > batch_bound_us {
         eprintln!("FAIL: batched posterior {batch:.1} us exceeds the {batch_bound_us} us bound");
+        failed = true;
+    }
+    if !identical {
+        eprintln!("FAIL: batched and pointwise posteriors differ in some column's bits");
+        failed = true;
+    }
+    if speedup < MIN_BATCH_SPEEDUP {
+        eprintln!(
+            "FAIL: batched posterior only {speedup:.2}x faster than pointwise, below {MIN_BATCH_SPEEDUP}x"
+        );
         failed = true;
     }
     if failed {

@@ -7,6 +7,8 @@
 //!
 //! `d(z, z') = sqrt( sum_k ((z_k - z'_k) / l_k)^2 )`.
 
+use edgebol_linalg::TILE;
+
 /// Which stationary kernel family to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelKind {
@@ -109,7 +111,37 @@ impl Kernel {
     /// Evaluates `k(a, b)`.
     #[inline]
     pub fn eval(&self, a: &[f64], b: &[f64]) -> f64 {
-        let d = self.scaled_distance(a, b);
+        self.at_distance(self.scaled_distance(a, b))
+    }
+
+    /// Fills `out[i][c] = k(x_i, p_c)` for every point `x_i` of the flat
+    /// row-major `xs` against one tile of `TILE` points stored
+    /// dimension-major (`pts[k][c]` is coordinate `k` of point `c`), so
+    /// the distance loop runs across the tile's columns.
+    ///
+    /// Each entry is bit-identical to [`Kernel::eval`]`(x_i, p_c)`: the
+    /// same differences and divisions, summed in dimension order, then
+    /// the same covariance expression.
+    pub(crate) fn eval_tile(&self, xs: &[f64], pts: &[[f64; TILE]], out: &mut [[f64; TILE]]) {
+        debug_assert_eq!(pts.len(), self.dim());
+        debug_assert_eq!(xs.len(), out.len() * self.dim());
+        for (x, row) in xs.chunks_exact(self.dim()).zip(out.iter_mut()) {
+            let mut acc = [0.0; TILE];
+            for ((&xk, &lk), p) in x.iter().zip(&self.lengthscales).zip(pts) {
+                for c in 0..TILE {
+                    let d = (xk - p[c]) / lk;
+                    acc[c] += d * d;
+                }
+            }
+            for (k, a) in row.iter_mut().zip(acc) {
+                *k = self.at_distance(a.sqrt());
+            }
+        }
+    }
+
+    /// The covariance at scaled distance `d`: `sigma_f^2 * g(d)`.
+    #[inline]
+    fn at_distance(&self, d: f64) -> f64 {
         self.signal_var
             * match self.kind {
                 KernelKind::Matern32 => {

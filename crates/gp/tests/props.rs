@@ -1,6 +1,7 @@
 //! Property-based tests of the GP layer.
 
 use edgebol_gp::{GaussianProcess, Kernel, KernelKind};
+use edgebol_linalg::TILE;
 use proptest::prelude::*;
 
 fn kernel_kind() -> impl Strategy<Value = KernelKind> {
@@ -64,21 +65,29 @@ proptest! {
         }
     }
 
-    /// Batch prediction equals pointwise prediction.
+    /// Batch prediction equals pointwise prediction bit for bit, for every
+    /// kernel family, input dimension and window size, and batches that
+    /// end inside, at and past tile edges.
     #[test]
     fn batch_equals_pointwise(
-        xs in proptest::collection::vec(0.0f64..1.0, 1..8),
-        q in proptest::collection::vec(0.0f64..1.0, 1..6),
+        kind in kernel_kind(),
+        dim in prop_oneof![Just(1usize), Just(7usize)],
+        n in 1usize..40,
+        m in 1usize..=3 * TILE + 1,
+        xs in proptest::collection::vec(0.0f64..1.0, 39 * 7),
+        q in proptest::collection::vec(0.0f64..1.0, (3 * TILE + 1) * 7),
     ) {
-        let mut gp = GaussianProcess::new(Kernel::matern32(2.0, vec![0.4]), 1e-3);
-        for (i, &x) in xs.iter().enumerate() {
-            gp.observe(&[x], (i as f64).sin()).unwrap();
+        let ls: Vec<f64> = (0..dim).map(|k| 0.3 + 0.1 * k as f64).collect();
+        let mut gp = GaussianProcess::new(Kernel::new(kind, 2.0, ls), 1e-3);
+        for (i, z) in xs.chunks(dim).take(n).enumerate() {
+            gp.observe(z, (i as f64).sin()).unwrap();
         }
-        let (bm, bs) = gp.predict_batch(&q);
-        for (j, &x) in q.iter().enumerate() {
-            let (m, s) = gp.predict(&[x]);
-            prop_assert!((bm[j] - m).abs() < 1e-9);
-            prop_assert!((bs[j] - s).abs() < 1e-9);
+        let q = &q[..m * dim];
+        let (bm, bs) = gp.predict_batch(q);
+        for (j, z) in q.chunks(dim).enumerate() {
+            let (mu, s) = gp.predict(z);
+            prop_assert_eq!(bm[j].to_bits(), mu.to_bits(), "mean of column {}", j);
+            prop_assert_eq!(bs[j].to_bits(), s.to_bits(), "std of column {}", j);
         }
     }
 

@@ -2,12 +2,15 @@
 //! including the incremental row/column append and delete-row downdate
 //! used by the online GP's sliding window.
 
-use crate::{solve_lower, solve_lower_mat, solve_upper, solve_upper_mat, LinalgError, Mat, Result};
+use crate::{
+    solve_lower, solve_lower_mat, solve_lower_tile, solve_upper, LinalgError, Mat, Result, TILE,
+};
 
 /// Lower-triangular Cholesky factor `L` of an SPD matrix `A = L L^T`.
 ///
 /// The factor supports:
-/// * vector and matrix solves against `A`,
+/// * vector solves against `A`, and half solves `L^{-1} B` with matrix
+///   right-hand sides,
 /// * `log(det(A))` for marginal-likelihood computation,
 /// * **incremental append** ([`Cholesky::append`]): growing `A` by one
 ///   bordered row/column in `O(n^2)` instead of refactorizing in `O(n^3)`,
@@ -236,13 +239,11 @@ impl Cholesky {
         solve_lower_mat(&self.l, b)
     }
 
-    /// Batched solve `A X = B` with a matrix right-hand side (`n x m`):
-    /// both triangular solves run once over all columns instead of `m`
-    /// separate vector solves, which is the posterior hot path when many
-    /// right-hand sides share one factor.
-    pub fn solve_mat(&self, b: &Mat) -> Mat {
-        let y = solve_lower_mat(&self.l, b);
-        solve_upper_mat(&self.l, &y)
+    /// Half solve of one tile of `TILE` right-hand sides in place
+    /// (`x[i][c]` is row `i` of column `c`; see [`solve_lower_tile`]): the
+    /// kernel of batched posterior variances.
+    pub fn half_solve_tile(&self, x: &mut [[f64; TILE]]) {
+        solve_lower_tile(&self.l, x)
     }
 
     /// `log(det(A)) = 2 * sum_i log(L[i][i])`.
@@ -440,21 +441,6 @@ mod tests {
                     r[(i, j)],
                     base[(i + 1, j + 1)]
                 );
-            }
-        }
-    }
-
-    #[test]
-    fn solve_mat_matches_vector_solves() {
-        let a = random_spd(6, 21);
-        let c = Cholesky::factor(&a).unwrap();
-        let b = Mat::from_fn(6, 4, |i, j| (i as f64 - j as f64) * 0.3);
-        let x = c.solve_mat(&b);
-        for col in 0..4 {
-            let bcol: Vec<f64> = (0..6).map(|r| b[(r, col)]).collect();
-            let want = c.solve(&bcol);
-            for r in 0..6 {
-                assert!((x[(r, col)] - want[r]).abs() < 1e-10);
             }
         }
     }

@@ -34,7 +34,7 @@ pub mod vecops;
 
 pub use cholesky::Cholesky;
 pub use matrix::Mat;
-pub use triangular::{solve_lower, solve_lower_mat, solve_upper, solve_upper_mat};
+pub use triangular::{solve_lower, solve_lower_mat, solve_lower_tile, solve_upper, TILE};
 
 /// Errors produced by the linear-algebra layer.
 #[derive(Debug, Clone, PartialEq)]

@@ -104,9 +104,9 @@ impl Mat {
     /// Splits the storage into two mutable row ranges: rows `[0, at)` and
     /// rows `[at, rows)`, each as a flat row-major slice.
     ///
-    /// This is the split-borrow primitive behind the blocked triangular
-    /// solves and the delete-row Cholesky downdate: already-final rows can
-    /// be read while later rows are updated in place, with no row copies.
+    /// This is the split-borrow primitive behind the delete-row Cholesky
+    /// downdate: already-final rows can be read while later rows are
+    /// updated in place, with no row copies.
     ///
     /// # Panics
     /// Panics if `at > self.rows()`.

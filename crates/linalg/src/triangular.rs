@@ -45,119 +45,72 @@ pub fn solve_upper(l: &Mat, b: &[f64]) -> Vec<f64> {
     x
 }
 
-/// Row-panel size of the blocked matrix-RHS triangular solves. Within a
-/// panel the substitution is the classic scalar recurrence; across panels
-/// the update is a dense rank-`SOLVE_BLOCK` product over contiguous rows,
-/// which is where the bulk of the `O(n^2 m)` arithmetic lands and where
-/// the compiler can vectorize freely.
-const SOLVE_BLOCK: usize = 32;
+/// Column width of a tile of right-hand sides ([`solve_lower_tile`]).
+/// Sixteen `f64` accumulators fill eight SSE2 registers, so a row's
+/// accumulators stay in registers across its whole `j` sweep; a tile of
+/// a 200-row factor (25 KB) stays in L1.
+pub const TILE: usize = 16;
+
+/// Solves `L X = B` in place for one tile of `TILE` right-hand sides
+/// stored row-interleaved: `x[i][c]` is row `i` of column `c`.
+///
+/// This is the forward-substitution kernel of batched GP posteriors
+/// ([`crate::Cholesky::half_solve_tile`]). Every column takes the scalar
+/// recurrence's operations in its order: ascending `j`, skipping exact
+/// zeros of `L`, then one division by the diagonal. A column therefore
+/// never reads another, and its result is bit for bit that of a solve on
+/// its own; a non-finite column poisons only itself.
+///
+/// # Panics
+/// Panics if `l` is not square or `x.len() != l.rows()`.
+pub fn solve_lower_tile(l: &Mat, x: &mut [[f64; TILE]]) {
+    assert!(l.is_square(), "solve_lower_tile: matrix must be square");
+    assert_eq!(x.len(), l.rows(), "solve_lower_tile: rhs rows mismatch");
+    for i in 0..x.len() {
+        let lrow = l.row(i);
+        let mut acc = x[i];
+        for (&lij, xj) in lrow[..i].iter().zip(x.iter()) {
+            if lij == 0.0 {
+                continue;
+            }
+            for c in 0..TILE {
+                acc[c] -= lij * xj[c];
+            }
+        }
+        let diag = lrow[i];
+        for v in &mut acc {
+            *v /= diag;
+        }
+        x[i] = acc;
+    }
+}
 
 /// Solves `L X = B` where `B` is `n x m` (forward substitution with a
 /// matrix right-hand side). Returns an `n x m` matrix.
 ///
-/// This is the hot path of batched GP posterior evaluation: the rows are
-/// processed in panels of `SOLVE_BLOCK` rows, with split borrows
-/// ([`Mat::split_rows_mut`]) separating already-final rows from the rows
-/// being updated so the inner loops are clone-free [`crate::vecops::axpy`]
-/// sweeps over whole rows. The accumulation order (ascending `j`, then one
-/// division by the diagonal) is identical to the scalar recurrence, so
-/// results are bit-for-bit the same as column-wise vector solves.
+/// The columns are solved `TILE` at a time: each tile is packed
+/// row-interleaved (the last one padded with zero columns), solved by
+/// [`solve_lower_tile`] and unpacked, so results are bit for bit those of
+/// column-wise solves with the same zero skip.
 ///
 /// # Panics
 /// Panics if `l` is not square or `b.rows() != l.rows()`.
 pub fn solve_lower_mat(l: &Mat, b: &Mat) -> Mat {
     assert!(l.is_square(), "solve_lower_mat: matrix must be square");
     assert_eq!(b.rows(), l.rows(), "solve_lower_mat: rhs rows mismatch");
-    let n = l.rows();
-    let m = b.cols();
-    let mut x = b.clone();
-    let mut bs = 0;
-    while bs < n {
-        let be = (bs + SOLVE_BLOCK).min(n);
-        // Panel update: X[bs..be] -= L[bs..be, 0..bs] * X[0..bs]. Every
-        // referenced X row is final, so this is a dense block product.
-        let (done, active) = x.split_rows_mut(bs);
-        for i in bs..be {
-            let lrow = &l.row(i)[..bs];
-            let xrow = &mut active[(i - bs) * m..(i - bs + 1) * m];
-            for (j, &lij) in lrow.iter().enumerate() {
-                if lij == 0.0 {
-                    continue;
-                }
-                crate::vecops::axpy(-lij, &done[j * m..(j + 1) * m], xrow);
-            }
+    let (n, m) = (b.rows(), b.cols());
+    let mut x = Mat::zeros(n, m);
+    let mut tile = vec![[0.0; TILE]; n];
+    for c0 in (0..m).step_by(TILE) {
+        let w = TILE.min(m - c0);
+        for (i, t) in tile.iter_mut().enumerate() {
+            *t = [0.0; TILE];
+            t[..w].copy_from_slice(&b.row(i)[c0..c0 + w]);
         }
-        // Diagonal block: forward substitution within the panel.
-        for i in bs..be {
-            let (done, active) = x.split_rows_mut(i);
-            let xrow = &mut active[..m];
-            let lrow = l.row(i);
-            for j in bs..i {
-                let lij = lrow[j];
-                if lij == 0.0 {
-                    continue;
-                }
-                crate::vecops::axpy(-lij, &done[j * m..(j + 1) * m], xrow);
-            }
-            let diag = lrow[i];
-            for v in xrow.iter_mut() {
-                *v /= diag;
-            }
+        solve_lower_tile(l, &mut tile);
+        for (i, t) in tile.iter().enumerate() {
+            x.row_mut(i)[c0..c0 + w].copy_from_slice(&t[..w]);
         }
-        bs = be;
-    }
-    x
-}
-
-/// Solves `L^T X = B` where `B` is `n x m` (backward substitution against
-/// the transpose, with a matrix right-hand side). Returns an `n x m`
-/// matrix. Blocked like [`solve_lower_mat`], sweeping panels bottom-up.
-///
-/// # Panics
-/// Panics if `l` is not square or `b.rows() != l.rows()`.
-pub fn solve_upper_mat(l: &Mat, b: &Mat) -> Mat {
-    assert!(l.is_square(), "solve_upper_mat: matrix must be square");
-    assert_eq!(b.rows(), l.rows(), "solve_upper_mat: rhs rows mismatch");
-    let n = l.rows();
-    let m = b.cols();
-    let mut x = b.clone();
-    let mut be = n;
-    while be > 0 {
-        let bs = be.saturating_sub(SOLVE_BLOCK);
-        // Panel update: X[bs..be] -= L[be.., bs..be]^T * X[be..], reading
-        // column i of L below the diagonal as row i of L^T.
-        {
-            let (head, done) = x.split_rows_mut(be);
-            let active = &mut head[bs * m..];
-            for j in be..n {
-                let lrow = l.row(j);
-                let xj = &done[(j - be) * m..(j - be + 1) * m];
-                for i in bs..be {
-                    let lji = lrow[i];
-                    if lji == 0.0 {
-                        continue;
-                    }
-                    crate::vecops::axpy(-lji, xj, &mut active[(i - bs) * m..(i - bs + 1) * m]);
-                }
-            }
-        }
-        // Diagonal block: backward substitution within the panel.
-        for i in (bs..be).rev() {
-            let (head, rest) = x.split_rows_mut(i + 1);
-            let xrow = &mut head[i * m..];
-            for j in (i + 1)..be {
-                let lji = l[(j, i)];
-                if lji == 0.0 {
-                    continue;
-                }
-                crate::vecops::axpy(-lji, &rest[(j - i - 1) * m..(j - i) * m], xrow);
-            }
-            let diag = l[(i, i)];
-            for v in xrow.iter_mut() {
-                *v /= diag;
-            }
-        }
-        be = bs;
     }
     x
 }
@@ -215,26 +168,9 @@ mod tests {
         assert_eq!(solve_upper(&i, &b), b);
     }
 
-    #[test]
-    fn upper_matrix_rhs_matches_columnwise_vector_solves() {
-        let l = lower3();
-        let b = Mat::from_rows(&[&[1.0, 0.5], &[2.0, -1.0], &[3.0, 2.0]]);
-        let x = solve_upper_mat(&l, &b);
-        for col in 0..2 {
-            let bcol: Vec<f64> = (0..3).map(|r| b[(r, col)]).collect();
-            let xcol = solve_upper(&l, &bcol);
-            for r in 0..3 {
-                assert!((x[(r, col)] - xcol[r]).abs() < 1e-12, "mismatch at ({r},{col})");
-            }
-        }
-    }
-
-    /// The blocked path must agree with the scalar recurrence when `n`
-    /// spans several panels (exercises the panel update, not just the
-    /// diagonal block).
-    #[test]
-    fn blocked_solves_match_vector_solves_across_panels() {
-        let n = 83; // > 2 * SOLVE_BLOCK, not a multiple of the block size
+    /// An `n x n` lower-triangular factor with exact zeros below the
+    /// diagonal (where `(7i + 3j) % 11 == 5`), so the zero skip is taken.
+    fn sparse_lower(n: usize) -> Mat {
         let l = Mat::from_fn(n, n, |i, j| {
             if j > i {
                 0.0
@@ -244,17 +180,53 @@ mod tests {
                 ((i * 7 + j * 3) % 11) as f64 * 0.1 - 0.5
             }
         });
-        let m = 5;
+        assert!((1..n).any(|i| (0..i).any(|j| l[(i, j)] == 0.0)), "no exact zero below diagonal");
+        l
+    }
+
+    fn column(b: &Mat, col: usize) -> Vec<f64> {
+        (0..b.rows()).map(|r| b[(r, col)]).collect()
+    }
+
+    /// The tiled path agrees bit for bit with the scalar recurrence over
+    /// several full tiles and a partial last one.
+    #[test]
+    fn tiled_solve_matches_vector_solves_across_tiles() {
+        let n = 83;
+        let l = sparse_lower(n);
+        let m = 3 * TILE + 5;
         let b = Mat::from_fn(n, m, |i, j| ((i + 2 * j) % 13) as f64 * 0.25 - 1.0);
-        let lo = solve_lower_mat(&l, &b);
-        let up = solve_upper_mat(&l, &b);
+        let x = solve_lower_mat(&l, &b);
         for col in 0..m {
-            let bcol: Vec<f64> = (0..n).map(|r| b[(r, col)]).collect();
-            let wlo = solve_lower(&l, &bcol);
-            let wup = solve_upper(&l, &bcol);
+            let want = solve_lower(&l, &column(&b, col));
             for r in 0..n {
-                assert_eq!(lo[(r, col)], wlo[r], "forward bit mismatch at ({r},{col})");
-                assert!((up[(r, col)] - wup[r]).abs() < 1e-10, "backward mismatch at ({r},{col})");
+                assert_eq!(x[(r, col)].to_bits(), want[r].to_bits(), "bit mismatch at ({r},{col})");
+            }
+        }
+    }
+
+    /// A NaN or infinite right-hand side poisons only its own column:
+    /// every other column of its tile, next to it or next to the zero
+    /// padding of a partial tile, solves exactly as it does alone.
+    #[test]
+    fn non_finite_column_leaves_its_tile_neighbours_bit_identical() {
+        let n = 41;
+        let l = sparse_lower(n);
+        let m = 2 * TILE + 3;
+        let mut b = Mat::from_fn(n, m, |i, j| ((i * 5 + j) % 17) as f64 * 0.125 - 1.0);
+        let poisoned = [(0, 3, f64::NAN), (7, TILE + 1, f64::INFINITY), (0, m - 1, f64::NAN)];
+        for &(r, c, v) in &poisoned {
+            b[(r, c)] = v;
+        }
+        let x = solve_lower_mat(&l, &b);
+        for col in 0..m {
+            if let Some(&(r, _, _)) = poisoned.iter().find(|p| p.1 == col) {
+                assert!(!x[(r, col)].is_finite(), "column {col} lost its poison");
+                continue;
+            }
+            let want = solve_lower(&l, &column(&b, col));
+            for r in 0..n {
+                assert_eq!(x[(r, col)].to_bits(), want[r].to_bits(), "leak at ({r},{col})");
             }
         }
     }

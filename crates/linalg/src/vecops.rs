@@ -18,18 +18,6 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     acc
 }
 
-/// `y += alpha * x` (BLAS axpy).
-///
-/// # Panics
-/// Panics if the slices have different lengths.
-#[inline]
-pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
-    assert_eq!(x.len(), y.len(), "axpy: length mismatch");
-    for i in 0..x.len() {
-        y[i] += alpha * x[i];
-    }
-}
-
 /// Applies the plane (Givens) rotation `(a_i, b_i) <- (c*a_i + s*b_i,
 /// c*b_i - s*a_i)` to two equal-length slices (BLAS `drot`).
 ///
@@ -137,13 +125,6 @@ mod tests {
     fn dot_known() {
         assert_eq!(dot(&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]), 32.0);
         assert_eq!(dot(&[], &[]), 0.0);
-    }
-
-    #[test]
-    fn axpy_known() {
-        let mut y = vec![1.0, 1.0];
-        axpy(2.0, &[3.0, -1.0], &mut y);
-        assert_eq!(y, vec![7.0, -1.0]);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Property-based tests of the linear-algebra substrate.
 
-use edgebol_linalg::{solve_lower, solve_lower_mat, solve_upper, Cholesky, Mat};
+use edgebol_linalg::{solve_lower, solve_lower_mat, solve_upper, Cholesky, Mat, TILE};
 use proptest::prelude::*;
 
 /// Strategy: a random SPD matrix `G G^T + c I` of size n.
@@ -105,20 +105,22 @@ proptest! {
         }
     }
 
-    /// Matrix-RHS forward substitution equals column-wise vector solves.
+    /// Matrix-RHS forward substitution equals column-wise vector solves
+    /// bit for bit, for column counts on both sides of a tile edge.
     #[test]
     fn matrix_rhs_equals_columnwise(
         a in spd(5),
-        rhs in proptest::collection::vec(-3.0f64..3.0, 15),
+        m in 1usize..=2 * TILE + 1,
+        rhs in proptest::collection::vec(-3.0f64..3.0, 5 * (2 * TILE + 1)),
     ) {
         let ch = Cholesky::factor(&a).unwrap();
-        let b = Mat::from_vec(5, 3, rhs);
+        let b = Mat::from_vec(5, m, rhs[..5 * m].to_vec());
         let x = solve_lower_mat(ch.factor_l(), &b);
-        for col in 0..3 {
+        for col in 0..m {
             let bcol: Vec<f64> = (0..5).map(|r| b[(r, col)]).collect();
             let want = solve_lower(ch.factor_l(), &bcol);
             for r in 0..5 {
-                prop_assert!((x[(r, col)] - want[r]).abs() < 1e-9);
+                prop_assert_eq!(x[(r, col)].to_bits(), want[r].to_bits(), "({}, {})", r, col);
             }
         }
     }
