@@ -83,10 +83,9 @@ pub struct EdgeBolConfig {
     pub fit_hyperparams: bool,
     /// Sliding-window cap on retained observations (None = keep all).
     pub max_observations: Option<usize>,
-    /// Window-eviction strategy override. `None` defers to the
-    /// `EDGEBOL_GP_EVICT` environment knob (default: the `O(W^2)`
-    /// delete-row downdate); the equivalence tests pin both strategies
-    /// explicitly to compare them in one process.
+    /// Window-eviction strategy override. `None` keeps the GP default,
+    /// the `O(W^2)` delete-row downdate; the equivalence tests pin both
+    /// strategies explicitly to compare them in one process.
     pub gp_evict: Option<EvictStrategy>,
     /// Candidate subsample size per period (None = full grid).
     pub candidate_subsample: Option<usize>,

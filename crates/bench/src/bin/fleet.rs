@@ -11,11 +11,29 @@
 //! Knobs: `EDGEBOL_FLEET_SLICES`, `EDGEBOL_FLEET_PERIODS`,
 //! `EDGEBOL_FLEET_CELLS`, `EDGEBOL_FLEET_GPU_CAPACITY`,
 //! `EDGEBOL_FLEET_MODE`, plus the process-wide `EDGEBOL_THREADS`,
-//! `EDGEBOL_METRICS`, `EDGEBOL_OPS` (see OPERATIONS.md).
+//! `EDGEBOL_METRICS`, `EDGEBOL_OPS`, `EDGEBOL_FLIGHT_DIR` (see
+//! OPERATIONS.md).
 
 use edgebol_bench::{env, f3, journal, journal_wanted, metrics, Table};
 use edgebol_fleet::{Fleet, FleetConfig};
 use std::time::Instant;
+
+/// The sweep's configuration for `slices` slices: like
+/// [`FleetConfig::quick`] but with the cell count, slice lifetime and
+/// GPU capacity taken from the `EDGEBOL_FLEET_*` knobs and the late wave
+/// at period 16.
+fn bench_config(slices: usize, warm_start: bool) -> FleetConfig {
+    FleetConfig {
+        cells: env::fleet_cells(),
+        periods: env::fleet_periods(),
+        stagger: 16,
+        gpu_capacity: env::fleet_gpu_capacity(),
+        warm_start,
+        threads: env::threads(),
+        flight_dir: env::flight_dir(),
+        ..FleetConfig::quick(slices)
+    }
+}
 
 fn main() {
     let sizes = env::fleet_slices();
@@ -42,9 +60,7 @@ fn main() {
             if (warm && !mode.runs_warm()) || (!warm && !mode.runs_cold()) {
                 continue;
             }
-            let mut cfg = FleetConfig::bench(n);
-            cfg.warm_start = warm;
-            let mut fleet = Fleet::new(cfg).with_metrics(metrics().clone());
+            let mut fleet = Fleet::new(bench_config(n, warm)).with_metrics(metrics().clone());
             if journal_wanted() {
                 fleet = fleet.with_journal(journal().clone());
             }

@@ -27,7 +27,7 @@
 //! `EDGEBOL_SOAK_SECONDS`, `EDGEBOL_CKPT_DIR`, `EDGEBOL_CKPT_EVERY`,
 //! `EDGEBOL_FLEET_KILL` (overrides the generated kill schedule), plus
 //! the process-wide `EDGEBOL_THREADS`, `EDGEBOL_METRICS`,
-//! `EDGEBOL_OPS` (see OPERATIONS.md).
+//! `EDGEBOL_OPS`, `EDGEBOL_FLIGHT_DIR` (see OPERATIONS.md).
 
 use edgebol_bench::{env, journal, journal_wanted, metrics};
 use edgebol_fleet::{Fleet, FleetConfig};
@@ -44,10 +44,12 @@ fn rss_kb() -> Option<u64> {
 }
 
 /// The fleet configuration for one soak pass. Pure in `(pass, slices,
-/// cycles)` apart from the checkpoint directory, so a pass's report is
-/// byte-stable at any thread count.
+/// cycles)` apart from the thread count and the checkpoint and flight
+/// directories, so a pass's report is byte-stable at any thread count.
 fn pass_config(pass: usize, slices: usize, cycles: usize, ckpt_dir: PathBuf) -> FleetConfig {
     let mut cfg = FleetConfig::quick(slices);
+    cfg.threads = env::threads();
+    cfg.flight_dir = env::flight_dir();
     // Lifetime long enough that every scheduled kill lands strictly
     // after at least one checkpoint boundary for its target slice.
     cfg.periods = 8 * (cycles + 2);

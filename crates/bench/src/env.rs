@@ -1,10 +1,12 @@
 //! Typed access to every `EDGEBOL_*` environment knob.
 //!
-//! All knob parsing lives here so every binary fails the same way on a
-//! malformed value: `invalid EDGEBOL_<NAME> value "<v>": expected
-//! <what>`. A misspelled knob must never silently run with the default
-//! — a comparison run whose chaos schedule, transport or thread count
-//! differs silently is a footgun, so every accessor panics on garbage.
+//! All knob parsing lives here — the runtime crates read no
+//! environment and take their configuration as arguments — so every
+//! binary fails the same way on a malformed value:
+//! `invalid EDGEBOL_<NAME> value "<v>": expected <what>`. A misspelled
+//! knob must never silently run with the default — a comparison run
+//! whose chaos schedule, transport or thread count differs silently is
+//! a footgun, so every accessor panics on garbage.
 //!
 //! Each knob has a pure `parse_*` function (unit-testable without
 //! touching the process environment) and a thin accessor that reads the
@@ -24,7 +26,6 @@
 //! | `EDGEBOL_TRANSPORT`   | [`transport`]   | `poll` (default) / `reactor`   |
 //! | `EDGEBOL_OPS`         | [`ops_addr`]    | `<ip>:<port>` to serve ops on  |
 //! | `EDGEBOL_FLIGHT_DIR`  | [`flight_dir`]  | directory for crash dumps      |
-//! | `EDGEBOL_GP_EVICT`    | `EvictStrategy::from_env` (edgebol-gp) | `downdate` (default) / `rebuild` |
 //! | `EDGEBOL_REPS` etc.   | [`usize_knob`]  | non-negative integer           |
 //! | `EDGEBOL_FLEET_SLICES` | [`fleet_slices`] | comma list of fleet sizes     |
 //! | `EDGEBOL_FLEET_PERIODS` | [`fleet_periods`] | periods each slice runs     |
@@ -38,10 +39,10 @@
 //! | `EDGEBOL_SOAK_SECONDS` | [`soak_seconds`] | soak wall-clock budget (0 = one bounded pass) |
 //! | `EDGEBOL_SOAK_SLICES` | [`soak_slices`] | fleet size per soak pass       |
 //!
-//! (`EDGEBOL_GP_EVICT` is parsed by `edgebol_gp::EvictStrategy` rather
-//! than here — the GP layer cannot depend on the bench crate — but
-//! follows the same fail-fast convention. The `perf_gate` bin's
-//! `EDGEBOL_GATE_*` bounds go through [`usize_knob`].)
+//! (The `perf_gate` bin's `EDGEBOL_GATE_*` bounds go through
+//! [`usize_knob`]. The one knob read outside this crate is
+//! `EDGEBOL_REACTOR_BACKEND`, the reactor's platform-poller override in
+//! `edgebol-oran`.)
 
 use crate::MetricsMode;
 use edgebol_oran::{ChaosConfig, FallbackMode, TransportKind};
@@ -177,9 +178,8 @@ pub fn parse_transport(v: &str) -> Result<TransportKind, String> {
 }
 
 /// `EDGEBOL_TRANSPORT`: which transport carries the A1/E2 links
-/// (default [`TransportKind::Poll`]). The orchestrator reads the same
-/// knob internally via [`TransportKind::from_env`]; this accessor
-/// exists so the harness can report and validate it uniformly.
+/// (default [`TransportKind::Poll`]). The harness passes it to every
+/// orchestrator it builds ([`crate::transport_from_env`]).
 ///
 /// # Panics
 /// On a malformed value.

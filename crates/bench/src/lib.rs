@@ -20,7 +20,6 @@ use edgebol_trace::{Journal, Layer};
 use std::fmt::Write as _;
 use std::fs;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// What the `EDGEBOL_METRICS` knob asked for — see [`metrics_mode`].
@@ -139,19 +138,18 @@ pub fn recovery_from_env() -> &'static RecoveryPolicy {
 
 /// The transport requested via the `EDGEBOL_TRANSPORT` environment
 /// variable: empty or `poll` → the in-process poll transport, `reactor`
-/// → reactor-managed framed TCP over loopback. The orchestrator itself
-/// honors the knob (its constructors resolve
-/// [`TransportKind::from_env`]); this helper exists so the harness can
-/// *report* the mode once per process, the way [`chaos_from_env`]
-/// reports an armed fault schedule — a comparison run whose transport
-/// differs silently would be a footgun.
+/// → reactor-managed framed TCP over loopback. Every harness run passes
+/// it to [`Orchestrator::new_with_transport`], and a reactor choice is
+/// reported once per process, the way [`chaos_from_env`] reports an
+/// armed fault schedule — a comparison run whose transport differs
+/// silently would be a footgun.
 ///
 /// # Panics
 /// Panics (once) on a malformed value, mirroring the other knobs.
 pub fn transport_from_env() -> TransportKind {
     static KIND: OnceLock<TransportKind> = OnceLock::new();
     *KIND.get_or_init(|| {
-        let kind = TransportKind::from_env();
+        let kind = env::transport();
         if kind == TransportKind::Reactor {
             eprintln!("[edgebol-bench] transport: reactor (nonblocking framed TCP over loopback)");
         }
@@ -211,34 +209,10 @@ pub fn ops_server() -> Option<&'static OpsServer> {
     .as_ref()
 }
 
-/// How many trailing periods of journal events a flight record keeps.
-/// Public so other layers (the fleet driver's early-retire path) dump
-/// records with the same retention as the single-run harness.
-pub const FLIGHT_KEEP_PERIODS: u64 = 16;
-
-/// The standard flight-record meta rows for an orchestrator that died
-/// with `e`: error, stage, transport, circuit and outage accounting.
-/// Shared by `dump_flight_on_error` below and the fleet layer's
-/// early-retire path, so every incident file has the same shape no
-/// matter which driver wrote it.
-pub fn flight_meta(orch: &Orchestrator, e: &OrchestratorError) -> Vec<(&'static str, String)> {
-    let mut meta = vec![
-        ("error", e.to_string()),
-        ("stage", e.stage().to_string()),
-        ("transport", format!("{:?}", orch.transport())),
-        ("circuit", format!("{:?}", orch.circuit_state())),
-        ("local_autonomy_periods", orch.local_autonomy_periods().to_string()),
-        ("degraded_events", orch.degraded_events().to_string()),
-    ];
-    if let Some(p) = orch.first_outage_period() {
-        meta.push(("first_outage_period", p.to_string()));
-    }
-    meta
-}
-
 /// Dumps the crash flight record for a run that died with `e`, when
-/// `EDGEBOL_FLIGHT_DIR` is set: the last [`FLIGHT_KEEP_PERIODS`]
-/// periods of journal events plus outage accounting, as one JSON
+/// `EDGEBOL_FLIGHT_DIR` is set: the last
+/// [`edgebol_trace::FLIGHT_KEEP_PERIODS`] periods of journal events plus
+/// outage accounting ([`Orchestrator::flight_meta`]), as one JSON
 /// incident file. Reported on stderr either way.
 fn dump_flight_on_error(orch: &Orchestrator, e: &OrchestratorError) {
     let Some(dir) = env::flight_dir() else { return };
@@ -248,9 +222,9 @@ fn dump_flight_on_error(orch: &Orchestrator, e: &OrchestratorError) {
         orch.first_outage_period().map(|p| p as u64),
         vec![("error", e.to_string())],
     );
-    let meta = flight_meta(orch, e);
-    match edgebol_trace::dump_flight_record(&dir, e.stage(), FLIGHT_KEEP_PERIODS, journal(), &meta)
-    {
+    let meta = orch.flight_meta(e);
+    let keep = edgebol_trace::FLIGHT_KEEP_PERIODS;
+    match edgebol_trace::dump_flight_record(&dir, e.stage(), keep, journal(), &meta) {
         Ok(path) => eprintln!("[edgebol-bench] flight record written to {}", path.display()),
         Err(io) => eprintln!("[edgebol-bench] flight record failed: {io}"),
     }
@@ -363,122 +337,16 @@ pub fn worker_threads() -> usize {
         .unwrap_or_else(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1))
 }
 
-/// Runs `job(0..n)` on a scoped thread pool and returns the results in
-/// index order.
-///
-/// Work is handed out through an atomic counter, so threads stay busy
-/// even when per-index runtimes differ; results are reassembled by index,
-/// so the output is **deterministic and identical to the sequential
-/// order** regardless of thread count or scheduling. A panicking job
-/// propagates its panic to the caller (after the scope joins the other
-/// workers).
+/// Runs `job(0..n)` on [`worker_threads`] threads and returns the
+/// results in index order: [`edgebol_core::parallel_map_threads`]
+/// recording into [`metrics`]. The output is deterministic and
+/// identical to the sequential order regardless of thread count.
 pub fn parallel_map<T, F>(n: usize, job: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    parallel_map_threads(worker_threads(), n, job)
-}
-
-/// Queue-depth bucket bounds: the harness fans out 8–100 repetitions,
-/// so powers of two up to 128 resolve the whole drain curve.
-const QUEUE_DEPTH_BOUNDS: &[f64] = &[1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0];
-
-/// Per-repetition wall-time bucket bounds (seconds): a reduced-size CI
-/// repetition takes ~0.1–3 s, a full figure repetition up to ~60 s.
-const REP_WALL_BOUNDS: &[f64] = &[0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0, 60.0];
-
-/// [`parallel_map`] with an explicit thread count (tests that compare
-/// thread counts use this to avoid racing on `EDGEBOL_THREADS`).
-///
-/// When metrics are enabled (see [`metrics`]) the runner records
-/// `edgebol_bench_worker_threads`, the work-queue depth observed at each
-/// grab (`edgebol_bench_queue_depth` — remaining items including the one
-/// taken, a deterministic multiset for a given `n` regardless of thread
-/// count), per-job wall time (`edgebol_bench_rep_wall_seconds`) and the
-/// fraction of thread-seconds spent inside jobs
-/// (`edgebol_bench_runner_utilization`).
-pub fn parallel_map_threads<T, F>(threads: usize, n: usize, job: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    if n == 0 {
-        return Vec::new();
-    }
-    let reg = metrics();
-    reg.describe("edgebol_bench_queue_depth", "Repetitions still queued when a worker grabs one");
-    reg.describe("edgebol_bench_rep_wall_seconds", "Wall-clock seconds per repetition");
-    reg.describe("edgebol_bench_worker_threads", "Worker threads in the parallel runner");
-    reg.describe(
-        "edgebol_bench_runner_utilization",
-        "Busy-time fraction of the parallel runner (1.0 = no idle workers)",
-    );
-    let depth_h = reg.histogram("edgebol_bench_queue_depth", QUEUE_DEPTH_BOUNDS);
-    let wall_h = reg.histogram("edgebol_bench_rep_wall_seconds", REP_WALL_BOUNDS);
-    let threads = threads.max(1).min(n);
-    reg.gauge("edgebol_bench_worker_threads").set(threads as f64);
-    let total = reg.stopwatch();
-    // One timed execution of `job(i)`, with the queue depth at grab time.
-    let timed = |i: usize, busy: &mut f64| -> T {
-        depth_h.observe((n - i) as f64);
-        let sw = reg.stopwatch();
-        let out = job(i);
-        if let Some(s) = sw.elapsed_seconds() {
-            wall_h.observe(s);
-            *busy += s;
-        }
-        out
-    };
-    let (out, busy_total) = if threads <= 1 {
-        let mut busy = 0.0;
-        let out: Vec<T> = (0..n).map(|i| timed(i, &mut busy)).collect();
-        (out, busy)
-    } else {
-        let next = AtomicUsize::new(0);
-        let timed = &timed;
-        let next = &next;
-        let mut tagged: Vec<(usize, T)> = Vec::new();
-        let mut busy_total = 0.0;
-        let per_thread: Vec<(Vec<(usize, T)>, f64)> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    s.spawn(move || {
-                        let mut local = Vec::new();
-                        let mut busy = 0.0;
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= n {
-                                break;
-                            }
-                            local.push((i, timed(i, &mut busy)));
-                        }
-                        (local, busy)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| match h.join() {
-                    Ok(v) => v,
-                    Err(p) => std::panic::resume_unwind(p),
-                })
-                .collect()
-        });
-        for (local, busy) in per_thread {
-            tagged.extend(local);
-            busy_total += busy;
-        }
-        tagged.sort_by_key(|(i, _)| *i);
-        (tagged.into_iter().map(|(_, t)| t).collect(), busy_total)
-    };
-    if let Some(wall) = total.elapsed_seconds() {
-        if wall > 0.0 {
-            reg.gauge("edgebol_bench_runner_utilization")
-                .set((busy_total / (threads as f64 * wall)).min(1.0));
-        }
-    }
-    out
+    edgebol_core::parallel_map_threads(worker_threads(), n, metrics(), job)
 }
 
 /// Runs one agent/environment pair for `periods` periods, surfacing
@@ -517,11 +385,10 @@ pub fn try_run_once_with_chaos(
     schedule: Vec<(usize, f64, f64)>,
     chaos: ChaosConfig,
 ) -> Result<Trace, OrchestratorError> {
-    // Resolve (and report, once) the transport before construction: the
-    // orchestrator reads the same knob internally.
-    let _ = transport_from_env();
+    let transport = transport_from_env();
     let ops_up = ops_server().is_some();
-    let mut orch = Orchestrator::new_instrumented(env, agent, spec, chaos, metrics().clone())?
+    let reg = metrics().clone();
+    let mut orch = Orchestrator::new_with_transport(env, agent, spec, chaos, reg, transport)?
         .with_constraint_schedule(schedule)
         .with_recovery(*recovery_from_env());
     if journal_wanted() {

@@ -21,6 +21,9 @@
 //! * [`trace`] — per-period experiment records and summary statistics
 //!   (medians, percentile bands, violation rates) used by every figure
 //!   regenerator in `edgebol-bench`.
+//! * [`parallel_map_threads`] — the deterministic scoped thread pool the
+//!   bench harness runs repetitions on and the fleet layer steps slices
+//!   on.
 //!
 //! # Quickstart
 //!
@@ -44,10 +47,12 @@
 
 pub mod agent;
 pub mod orchestrator;
+mod parallel;
 pub mod problem;
 pub mod trace;
 
 pub use agent::{Agent, DdpgAgent, EdgeBolAgent, EpsGreedyAgent};
 pub use orchestrator::{Orchestrator, OrchestratorError};
+pub use parallel::parallel_map_threads;
 pub use problem::ProblemSpec;
 pub use trace::{PeriodRecord, Trace};

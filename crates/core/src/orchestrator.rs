@@ -53,7 +53,7 @@
 //!   supervisor machinery.
 //!
 //! The failure model is exercised by the deterministic chaos layer
-//! (`edgebol_oran::chaos`): [`Orchestrator::new_with_chaos`] wraps the
+//! (`edgebol_oran::chaos`): [`Orchestrator::new_with_transport`] wraps the
 //! near-RT RIC's two endpoints in fault-injecting decorators — which
 //! covers all four lanes, since every A1/E2 message transits the xApp —
 //! and the per-stage counters ([`Orchestrator::degraded_by_stage`]) plus
@@ -318,7 +318,8 @@ pub struct Orchestrator {
 }
 
 impl Orchestrator {
-    /// Wires the agent, environment and O-RAN chain together.
+    /// Wires the agent, environment and O-RAN chain together over the
+    /// in-process poll transport, with no faults and no metrics.
     ///
     /// # Errors
     /// [`OrchestratorError::ControlPlane`] when the KPI-subscription
@@ -329,86 +330,32 @@ impl Orchestrator {
         agent: Box<dyn Agent>,
         spec: ProblemSpec,
     ) -> Result<Self, OrchestratorError> {
-        Self::new_with_chaos(env, agent, spec, ChaosConfig::disabled())
-    }
-
-    /// Like [`Orchestrator::new`], but runs the control plane under the
-    /// given deterministic fault schedule. The plan is armed only after
-    /// the KPI-subscription handshake completes, so bootstrap traffic is
-    /// never faulted and the first faultable frame belongs to period 0.
-    ///
-    /// # Errors
-    /// [`OrchestratorError::ControlPlane`] when the (pre-chaos)
-    /// subscription handshake fails.
-    pub fn new_with_chaos(
-        env: Box<dyn Environment>,
-        agent: Box<dyn Agent>,
-        spec: ProblemSpec,
-        chaos: ChaosConfig,
-    ) -> Result<Self, OrchestratorError> {
-        Self::new_instrumented(env, agent, spec, chaos, Registry::disabled())
-    }
-
-    /// Like [`Orchestrator::new_with_chaos`], but records observability
-    /// metrics into `metrics`: per-period step latency
-    /// (`edgebol_core_step_latency_seconds`), per-stage degraded and
-    /// control-plane-error counters (mirroring
-    /// [`Orchestrator::degraded_by_stage`]), stale KPI samples, and —
-    /// through the chaos plan — per-link frame/byte traffic plus
-    /// per-kind fault counts. Passing [`Registry::disabled`] records
-    /// nothing and is equivalent to [`Orchestrator::new_with_chaos`].
-    ///
-    /// The transport is taken from the `EDGEBOL_TRANSPORT` env knob
-    /// ([`TransportKind::from_env`]), so the whole existing test and
-    /// bench surface can be rerun over the reactor without code changes;
-    /// [`Orchestrator::new_with_transport`] pins it explicitly.
-    ///
-    /// # Errors
-    /// [`OrchestratorError::ControlPlane`] when the (pre-chaos)
-    /// subscription handshake fails.
-    pub fn new_instrumented(
-        env: Box<dyn Environment>,
-        agent: Box<dyn Agent>,
-        spec: ProblemSpec,
-        chaos: ChaosConfig,
-        metrics: Registry,
-    ) -> Result<Self, OrchestratorError> {
-        Self::new_with_transport(env, agent, spec, chaos, metrics, TransportKind::from_env())
-    }
-
-    /// An orchestrator whose A1/E2 links ride the non-blocking reactor
-    /// transport (framed TCP over loopback, multiplexed by a
-    /// [`Reactor`]) instead of the in-process poll transport — the
-    /// fleet-scale construction path. Equivalent to
-    /// [`Orchestrator::new_with_transport`] with
-    /// [`TransportKind::Reactor`], no chaos, no metrics.
-    ///
-    /// # Errors
-    /// [`OrchestratorError::ControlPlane`] when reactor setup (sockets,
-    /// readiness source) or the KPI-subscription handshake fails.
-    pub fn new_with_reactor(
-        env: Box<dyn Environment>,
-        agent: Box<dyn Agent>,
-        spec: ProblemSpec,
-    ) -> Result<Self, OrchestratorError> {
         Self::new_with_transport(
             env,
             agent,
             spec,
             ChaosConfig::disabled(),
             Registry::disabled(),
-            TransportKind::Reactor,
+            TransportKind::Poll,
         )
     }
 
-    /// The general constructor: every other `new_*` resolves to this.
-    /// Builds the rApp → A1 → xApp → E2 → node chain over `transport`,
-    /// wraps the xApp's two links in the chaos plan, and completes the
-    /// KPI-subscription handshake before arming the plan. Because the
-    /// chaos op-clock counts operations *above* the transport and the
-    /// reactor's paired links deliver every sent frame before reporting
-    /// empty, a fixed-seed episode produces f64-bit-identical traces on
-    /// both transports (pinned by `tests/reactor.rs`).
+    /// The general constructor. Builds the rApp → A1 → xApp → E2 → node
+    /// chain over `transport`, wraps the xApp's two links in the chaos
+    /// plan, and completes the KPI-subscription handshake before arming
+    /// the plan, so bootstrap traffic is never faulted and the first
+    /// faultable frame belongs to period 0. Because the chaos op-clock
+    /// counts operations *above* the transport and the reactor's paired
+    /// links deliver every sent frame before reporting empty, a
+    /// fixed-seed episode produces f64-bit-identical traces on both
+    /// transports (pinned by `tests/reactor.rs`).
+    ///
+    /// `metrics` receives per-period step latency
+    /// (`edgebol_core_step_latency_seconds`), per-stage degraded and
+    /// control-plane-error counters (mirroring
+    /// [`Orchestrator::degraded_by_stage`]), stale KPI samples, and —
+    /// through the chaos plan — per-link frame/byte traffic plus
+    /// per-kind fault counts. [`Registry::disabled`] records nothing.
     ///
     /// # Errors
     /// [`OrchestratorError::ControlPlane`] when transport setup or the
@@ -598,7 +545,7 @@ impl Orchestrator {
     }
 
     /// The registry this orchestrator records into (disabled unless
-    /// built with [`Orchestrator::new_instrumented`]).
+    /// one was passed to [`Orchestrator::new_with_transport`]).
     pub fn metrics(&self) -> &Registry {
         &self.metrics.registry
     }
@@ -640,6 +587,25 @@ impl Orchestrator {
     /// [`Orchestrator::with_recovery`]).
     pub fn watchdog_trips(&self) -> u64 {
         self.supervisor.watchdog_trips()
+    }
+
+    /// The flight-record meta rows for this orchestrator having died with
+    /// `e`: error, stage, transport, circuit and outage accounting. Every
+    /// driver that dumps an incident file (the bench harness, the fleet's
+    /// early-retire path) uses these rows, so the files share one shape.
+    pub fn flight_meta(&self, e: &OrchestratorError) -> Vec<(&'static str, String)> {
+        let mut meta = vec![
+            ("error", e.to_string()),
+            ("stage", e.stage().to_string()),
+            ("transport", format!("{:?}", self.transport)),
+            ("circuit", format!("{:?}", self.circuit_state())),
+            ("local_autonomy_periods", self.local_autonomy_periods.to_string()),
+            ("degraded_events", self.degraded_events.to_string()),
+        ];
+        if let Some(p) = self.first_outage_period {
+            meta.push(("first_outage_period", p.to_string()));
+        }
+        meta
     }
 
     /// Forwards a cross-slice GPU contention factor to the environment
@@ -1296,8 +1262,15 @@ mod tests {
         let spec = ProblemSpec::new(1.0, 8.0, 0.5, 0.4);
         let env = FlowTestbed::new(Calibration::fast(), Scenario::single_user(35.0), 1);
         let agent = EdgeBolAgent::quick_for_tests(&spec, 1);
-        let mut o = Orchestrator::new_with_reactor(Box::new(env), Box::new(agent), spec)
-            .expect("reactor setup");
+        let mut o = Orchestrator::new_with_transport(
+            Box::new(env),
+            Box::new(agent),
+            spec,
+            ChaosConfig::disabled(),
+            Registry::disabled(),
+            TransportKind::Reactor,
+        )
+        .expect("reactor setup");
         assert_eq!(o.transport(), TransportKind::Reactor);
         let trace = o.try_run(10).unwrap();
         assert_eq!(trace.len(), 10);
@@ -1390,11 +1363,13 @@ mod tests {
         let spec = ProblemSpec::new(1.0, 8.0, 0.5, 0.4);
         let env = FlowTestbed::new(Calibration::fast(), Scenario::single_user(35.0), 7);
         let agent = EdgeBolAgent::quick_for_tests(&spec, 7);
-        let mut o = Orchestrator::new_with_chaos(
+        let mut o = Orchestrator::new_with_transport(
             Box::new(env),
             Box::new(agent),
             spec,
             ChaosConfig::drop_corrupt(7, 0.2),
+            Registry::disabled(),
+            TransportKind::Poll,
         )
         .expect("in-process setup");
         let trace = o.try_run(25).expect("drop/corrupt faults are all recoverable");
@@ -1420,8 +1395,15 @@ mod tests {
         let spec = ProblemSpec::new(1.0, 8.0, 0.5, 0.4);
         let env = FlowTestbed::new(Calibration::fast(), Scenario::single_user(35.0), seed);
         let agent = EdgeBolAgent::quick_for_tests(&spec, seed);
-        Orchestrator::new_with_chaos(Box::new(env), Box::new(agent), spec, chaos)
-            .expect("in-process setup")
+        Orchestrator::new_with_transport(
+            Box::new(env),
+            Box::new(agent),
+            spec,
+            chaos,
+            Registry::disabled(),
+            TransportKind::Poll,
+        )
+        .expect("in-process setup")
     }
 
     #[test]

@@ -2,7 +2,6 @@
 
 use edgebol_bandit::Constraints;
 use edgebol_testbed::PeriodObservation;
-use serde::{Deserialize, Serialize};
 
 /// The operator-facing problem specification:
 ///
@@ -12,7 +11,7 @@ use serde::{Deserialize, Serialize};
 /// `delta1`/`delta2` are monetary-units-per-watt prices. The paper sweeps
 /// `delta2` over `{1, 2, 4, ..., 64}` with `delta1 = 1` to model scenarios
 /// from grid-powered servers to power-budgeted (e.g. solar) small cells.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProblemSpec {
     /// Price of edge-server power (mu/W).
     pub delta1: f64,

@@ -1,10 +1,9 @@
 //! Per-period experiment records and summaries.
 
 use edgebol_testbed::{ContextObs, ControlInput, PeriodObservation};
-use serde::{Deserialize, Serialize};
 
 /// Everything recorded about one orchestration period.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PeriodRecord {
     /// Period index `t`.
     pub t: usize,
@@ -23,7 +22,7 @@ pub struct PeriodRecord {
 }
 
 /// A full experiment run.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Trace {
     /// The per-period records in order.
     pub records: Vec<PeriodRecord>,

@@ -1,7 +1,5 @@
 //! GPU speed policy (Policy 3) and inference-time model.
 
-use serde::{Deserialize, Serialize};
-
 /// Lowest configurable GPU power-management limit (W) — the RTX 2080 Ti
 /// driver range the paper uses is 100–280 W.
 pub const GPU_LIMIT_MIN_W: f64 = 100.0;
@@ -10,7 +8,7 @@ pub const GPU_LIMIT_MAX_W: f64 = 280.0;
 
 /// Policy 3: the GPU-speed knob as a fraction in [0, 1] of the power-limit
 /// range (0 → 100 W limit, 1 → 280 W limit).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GpuSpeedPolicy(pub f64);
 
 impl GpuSpeedPolicy {
@@ -26,7 +24,7 @@ impl GpuSpeedPolicy {
 }
 
 /// Inference-latency model of the detector on the policy-limited GPU.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GpuModel {
     /// Per-image inference time at 100% resolution and full speed (s).
     /// Faster R-CNN R101-FPN on a 2080 Ti runs at ≈10 fps in isolation

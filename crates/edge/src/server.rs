@@ -1,7 +1,6 @@
 //! FIFO inference queue and server power model.
 
 use crate::gpu::{GpuModel, GpuSpeedPolicy};
-use serde::{Deserialize, Serialize};
 
 /// A work-conserving FIFO queue in front of the GPU.
 ///
@@ -87,7 +86,7 @@ impl InferenceQueue {
 /// an idle platform floor (CPU package, fans, idle GPU) plus the active
 /// GPU draw, which when busy sits at a fixed fraction of the configured
 /// power limit (power-limited GPUs run pinned at their cap under load).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ServerPowerModel {
     /// Idle server power (W): platform + idle GPU.
     pub idle_w: f64,

@@ -7,7 +7,7 @@
 //!
 //! * [`Fleet`] — drives every slice's [`edgebol_core::Orchestrator`] in
 //!   period lockstep, fanning the per-period work across worker threads
-//!   with `edgebol_bench`'s deterministic pool. All cross-slice
+//!   with [`edgebol_core::parallel_map_threads`]. All cross-slice
 //!   decisions (admission, contention, donor selection) happen on the
 //!   driver thread between periods, so a fixed-seed fleet produces a
 //!   byte-identical [`FleetReport`] at any thread count.
@@ -29,18 +29,17 @@
 //! Slice lifecycle events stream into an [`edgebol_trace::Journal`]
 //! (layer `fleet`) and fleet health into an
 //! [`edgebol_metrics::Registry`], so the whole fleet is visible on the
-//! `EDGEBOL_OPS` HTTP surface. The `fleet` binary in this crate sweeps
-//! fleet sizes and reports warm-vs-cold convergence savings (see
-//! `OPERATIONS.md` for the `EDGEBOL_FLEET_*` knobs).
+//! ops HTTP surface. The `fleet` and `soak` binaries in `edgebol-bench`
+//! drive this crate and fill [`FleetConfig`] from the `EDGEBOL_*` knobs
+//! (see `OPERATIONS.md`); the crate itself reads no environment.
 
 #![deny(missing_docs)]
 
-use edgebol_bench::{median, parallel_map_threads};
 use edgebol_ckpt::{CkptError, Dec, Enc};
 use edgebol_core::agent::EdgeBolAgent;
 use edgebol_core::problem::ProblemSpec;
 use edgebol_core::trace::Trace;
-use edgebol_core::{Orchestrator, OrchestratorError};
+use edgebol_core::{parallel_map_threads, Orchestrator, OrchestratorError};
 use edgebol_metrics::{Counter, Gauge, Registry};
 use edgebol_oran::{ChaosConfig, CircuitState, HealthHandle, TransportKind};
 use edgebol_testbed::{Calibration, Environment, FlowTestbed, Scenario};
@@ -101,8 +100,8 @@ pub struct FleetConfig {
     /// Base RNG seed; per-slice environment and agent seeds derive from
     /// it and the slice id.
     pub seed: u64,
-    /// Worker threads for the lockstep fan-out; `None` uses the
-    /// `EDGEBOL_THREADS` knob / available parallelism. The report is
+    /// Worker threads for the lockstep fan-out; `None` uses
+    /// [`std::thread::available_parallelism`]. The report is
     /// byte-identical at any setting.
     pub threads: Option<usize>,
     /// Directory for per-slice checkpoint files (`slice-<id>.ckpt`,
@@ -110,6 +109,11 @@ pub struct FleetConfig {
     /// disables checkpointing. The soak/bench drivers fill it from
     /// `EDGEBOL_CKPT_DIR`.
     pub ckpt_dir: Option<PathBuf>,
+    /// Directory for the flight record a slice dumps when its control
+    /// plane dies mid-run (see [`edgebol_trace::dump_flight_record`]);
+    /// `None` disables the dumps. The bench drivers fill it from
+    /// `EDGEBOL_FLIGHT_DIR`.
+    pub flight_dir: Option<PathBuf>,
     /// Checkpoint cadence: every running slice is snapshotted after
     /// each `ckpt_every`-th lockstep period. `0` disables the cadence
     /// even when a directory is set.
@@ -146,23 +150,10 @@ impl FleetConfig {
             seed: 7,
             threads: None,
             ckpt_dir: None,
+            flight_dir: None,
             ckpt_every: 8,
             kill_schedule: Vec::new(),
             chaos: ChaosConfig::disabled(),
-        }
-    }
-
-    /// The bench configuration behind the `fleet` binary: like
-    /// [`FleetConfig::quick`] but with the cell count, slice lifetime
-    /// and GPU capacity taken from the `EDGEBOL_FLEET_*` knobs and the
-    /// late wave at period 16.
-    pub fn bench(slices: usize) -> Self {
-        FleetConfig {
-            cells: edgebol_bench::env::fleet_cells(),
-            periods: edgebol_bench::env::fleet_periods(),
-            stagger: 16,
-            gpu_capacity: edgebol_bench::env::fleet_gpu_capacity(),
-            ..Self::quick(slices)
         }
     }
 
@@ -297,7 +288,7 @@ impl FleetReport {
         if xs.is_empty() {
             None
         } else {
-            Some(median(&xs))
+            Some(edgebol_linalg::stats::percentile(&xs, 0.5))
         }
     }
 
@@ -464,8 +455,9 @@ impl Fleet {
         Fleet { cfg, metrics: Registry::disabled(), journal: None, health: None }
     }
 
-    /// Records fleet gauges and counters into `reg` (share it with
-    /// [`edgebol_bench::ops_server`] to expose them on `/metrics`).
+    /// Records fleet gauges and counters, and the lockstep pool's
+    /// runner series, into `reg` (share it with an
+    /// [`edgebol_oran::OpsServer`] to expose them on `/metrics`).
     pub fn with_metrics(mut self, reg: Registry) -> Self {
         self.metrics = reg;
         self
@@ -554,9 +546,7 @@ impl Fleet {
         };
         let threads = cfg
             .threads
-            .or_else(edgebol_bench::env::threads)
-            .or_else(|| std::thread::available_parallelism().ok().map(|n| n.get()))
-            .unwrap_or(1);
+            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
 
         let mut t = 0usize;
         let mut restored_any = false;
@@ -689,7 +679,8 @@ impl Fleet {
             );
             let slots_ref = &slots;
             let running_ref = &running;
-            let results = parallel_map_threads(threads.min(running.len().max(1)), running.len(), {
+            let n = running.len();
+            let results = parallel_map_threads(threads.min(n.max(1)), n, &self.metrics, {
                 move |k| {
                     let slot = &slots_ref[running_ref[k]];
                     let mut orch = slot
@@ -1066,23 +1057,26 @@ impl Fleet {
     /// A slice whose control plane dies mid-fleet dumps the same JSON
     /// incident file the single-run driver's flight recorder writes
     /// (same retention, same meta shape via
-    /// [`edgebol_bench::flight_meta`]), tagged with the slice id, when
-    /// `EDGEBOL_FLIGHT_DIR` is set.
+    /// [`Orchestrator::flight_meta`]), tagged with the slice id, when
+    /// [`FleetConfig::flight_dir`] is set. Without an attached journal
+    /// the record carries the meta rows and no events.
     fn dump_slice_flight(&self, slot: &SliceSlot, e: &OrchestratorError) {
-        let Some(dir) = edgebol_bench::env::flight_dir() else { return };
+        let Some(dir) = &self.cfg.flight_dir else { return };
         let mut meta = match &slot.runner {
-            Some(r) => edgebol_bench::flight_meta(&r.lock().unwrap_or_else(|p| p.into_inner()), e),
+            Some(r) => r.lock().unwrap_or_else(|p| p.into_inner()).flight_meta(e),
             None => vec![("error", e.to_string()), ("stage", e.stage().to_string())],
         };
         meta.push(("slice", slot.id.to_string()));
-        let journal = self.journal.as_ref().unwrap_or_else(|| edgebol_bench::journal());
-        match edgebol_trace::dump_flight_record(
-            &dir,
-            e.stage(),
-            edgebol_bench::FLIGHT_KEEP_PERIODS,
-            journal,
-            &meta,
-        ) {
+        let empty;
+        let journal = match &self.journal {
+            Some(j) => j.as_ref(),
+            None => {
+                empty = Journal::with_capacity(1);
+                &empty
+            }
+        };
+        let keep = edgebol_trace::FLIGHT_KEEP_PERIODS;
+        match edgebol_trace::dump_flight_record(dir, e.stage(), keep, journal, &meta) {
             Ok(path) => eprintln!(
                 "[edgebol-fleet] flight record for slice {} written to {}",
                 slot.id,

@@ -4,11 +4,9 @@ use crate::{GpError, Kernel};
 use edgebol_linalg::{vecops, Cholesky, Mat, TILE};
 
 /// How [`GaussianProcess::observe`] makes room when the sliding window is
-/// full.
-///
-/// The default comes from the `EDGEBOL_GP_EVICT` environment knob
-/// (`downdate` when unset), read once per GP construction so a process can
-/// host GPs with different strategies (the equivalence tests rely on
+/// full. A new GP uses [`EvictStrategy::Downdate`];
+/// [`GaussianProcess::with_evict_strategy`] picks per GP, so a process
+/// can host GPs with different strategies (the equivalence tests rely on
 /// this).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EvictStrategy {
@@ -18,39 +16,9 @@ pub enum EvictStrategy {
     /// non-finite factors).
     Downdate,
     /// `O(W^3)` from-scratch refactorization of the shrunken window — the
-    /// pre-downdate behaviour, kept as an escape hatch
-    /// (`EDGEBOL_GP_EVICT=rebuild`) and as the oracle the equivalence
-    /// battery compares the fast path against.
+    /// pre-downdate behaviour, kept as the reference the equivalence
+    /// battery and the perf gate compare the fast path against.
     Rebuild,
-}
-
-impl EvictStrategy {
-    /// Parses an `EDGEBOL_GP_EVICT` value.
-    fn parse(v: &str) -> Result<Self, &'static str> {
-        match v {
-            "downdate" => Ok(EvictStrategy::Downdate),
-            "rebuild" => Ok(EvictStrategy::Rebuild),
-            _ => Err("\"downdate\" or \"rebuild\""),
-        }
-    }
-
-    /// Reads `EDGEBOL_GP_EVICT`: [`EvictStrategy::Downdate`] when unset or
-    /// blank.
-    ///
-    /// # Panics
-    /// Panics on a malformed value, following the workspace-wide knob
-    /// convention (`invalid EDGEBOL_<NAME> value "...": expected <what>`).
-    pub fn from_env() -> Self {
-        match std::env::var("EDGEBOL_GP_EVICT") {
-            Ok(v) if !v.trim().is_empty() => match Self::parse(v.trim()) {
-                Ok(s) => s,
-                Err(expected) => {
-                    panic!("invalid EDGEBOL_GP_EVICT value {v:?}: expected {expected}")
-                }
-            },
-            _ => EvictStrategy::Downdate,
-        }
-    }
 }
 
 /// Test-only fault injection for the eviction path, pinning the
@@ -128,7 +96,7 @@ impl GaussianProcess {
             alpha_dirty: false,
             y_mean: 0.0,
             max_observations: None,
-            evict: EvictStrategy::from_env(),
+            evict: EvictStrategy::Downdate,
             #[cfg(test)]
             evict_failpoint: EvictFailpoint::None,
         }
@@ -144,8 +112,7 @@ impl GaussianProcess {
         self
     }
 
-    /// Builder-style: override the eviction strategy chosen by
-    /// [`EvictStrategy::from_env`] at construction.
+    /// Builder-style: override the default [`EvictStrategy::Downdate`].
     pub fn with_evict_strategy(mut self, strategy: EvictStrategy) -> Self {
         self.evict = strategy;
         self
@@ -706,16 +673,8 @@ mod tests {
     }
 
     #[test]
-    fn evict_strategy_parse_and_default() {
-        assert_eq!(EvictStrategy::parse("downdate"), Ok(EvictStrategy::Downdate));
-        assert_eq!(EvictStrategy::parse("rebuild"), Ok(EvictStrategy::Rebuild));
-        assert!(EvictStrategy::parse("fast").is_err());
-        assert!(EvictStrategy::parse("").is_err());
-        // Knob unset in the test environment: construction defaults to the
-        // downdate fast path.
-        if std::env::var("EDGEBOL_GP_EVICT").is_err() {
-            assert_eq!(toy_gp().evict_strategy(), EvictStrategy::Downdate);
-        }
+    fn evict_strategy_defaults_to_downdate() {
+        assert_eq!(toy_gp().evict_strategy(), EvictStrategy::Downdate);
     }
 
     /// The downdate and rebuild strategies must agree on the posterior

@@ -20,10 +20,9 @@
 use crate::scene::{BBox, Category, Scene, FRAME_HEIGHT, FRAME_WIDTH};
 use edgebol_linalg::stats::normal;
 use rand::{Rng, RngExt};
-use serde::{Deserialize, Serialize};
 
 /// One detector output: a classified, scored box.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Detection {
     pub category: Category,
     pub bbox: BBox,
@@ -32,7 +31,7 @@ pub struct Detection {
 }
 
 /// Tunable detector behaviour.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DetectorModel {
     /// Effective linear size (pixels) at which detection probability is
     /// half its ceiling.

@@ -8,10 +8,9 @@
 //! peak offered load implies for its ~0.65 s full-res round trips.
 
 use crate::scene::{FRAME_HEIGHT, FRAME_WIDTH};
-use serde::{Deserialize, Serialize};
 
 /// Byte-size and timing model of the UE-side encoder.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct EncodeModel {
     /// JPEG container/header overhead in bytes.
     pub overhead_bytes: f64,
@@ -38,7 +37,7 @@ impl Default for EncodeModel {
 }
 
 /// The result of encoding one frame at a given resolution policy.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EncodedImage {
     /// Resolution policy fraction in (0, 1].
     pub resolution: f64,

@@ -2,7 +2,6 @@
 
 use edgebol_linalg::stats::normal;
 use rand::{Rng, RngExt};
-use serde::{Deserialize, Serialize};
 
 /// Native frame width at 100% resolution (the paper's maximum is 640x480).
 pub const FRAME_WIDTH: f64 = 640.0;
@@ -15,7 +14,7 @@ pub const FRAME_HEIGHT: f64 = 480.0;
 /// resolution) and a detectability ceiling, so that e.g. `Person` is large
 /// and easy while `Bottle` is small and hard — which is what makes mAP
 /// degrade with downscaling in a structured way.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Category {
     Person,
     Bicycle,
@@ -96,7 +95,7 @@ impl Category {
 }
 
 /// An axis-aligned bounding box in pixel coordinates (`x`, `y` = top-left).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BBox {
     pub x: f64,
     pub y: f64,
@@ -135,14 +134,14 @@ impl BBox {
 }
 
 /// One annotated ground-truth object.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GroundTruth {
     pub category: Category,
     pub bbox: BBox,
 }
 
 /// A synthetic scene: a frame full of annotated objects.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Scene {
     /// Scene identifier within its dataset.
     pub id: u64,

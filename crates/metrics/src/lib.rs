@@ -1,12 +1,13 @@
-//! Zero-dependency observability for the EdgeBOL reproduction.
+//! Std-only observability for the EdgeBOL reproduction.
 //!
 //! The paper's whole pitch is closing a *measurement* loop — the
 //! orchestrator steers energy and delay from observed KPIs — so the
 //! reproduction exports the same kind of telemetry an O-RAN energy-saving
 //! rApp would: per-period step latency, per-stage control-plane failures,
 //! injected-fault counts, runner utilization. This crate is the registry
-//! those layers record into. It has **no dependencies** (std only) and
-//! three metric kinds:
+//! those layers record into. Its one dependency is the std-only
+//! `edgebol-trace`, whose JSON string escaper [`Snapshot::to_json`]
+//! shares. It has three metric kinds:
 //!
 //! * [`Counter`] — a monotonically increasing `u64` ([`Counter::inc`] /
 //!   [`Counter::add`]).
@@ -54,6 +55,7 @@
 
 #![deny(missing_docs)]
 
+use edgebol_trace::json::escape;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -699,18 +701,17 @@ impl Snapshot {
 
     /// JSON document: `{"counters": {...}, "gauges": {...},
     /// "histograms": {...}}` (hand-rolled; no non-finite values are
-    /// produced by the workspace's metrics).
+    /// produced by the workspace's metrics). Series names are escaped by
+    /// [`edgebol_trace::json::escape`], so any label value yields valid
+    /// JSON.
     pub fn to_json(&self) -> String {
-        fn esc(s: &str) -> String {
-            s.replace('\\', "\\\\").replace('"', "\\\"")
-        }
         let mut counters = Vec::new();
         let mut gauges = Vec::new();
         let mut hists = Vec::new();
         for e in &self.entries {
             match &e.value {
-                MetricValue::Counter(v) => counters.push(format!("\"{}\": {v}", esc(&e.name))),
-                MetricValue::Gauge(v) => gauges.push(format!("\"{}\": {v}", esc(&e.name))),
+                MetricValue::Counter(v) => counters.push(format!("{}: {v}", escape(&e.name))),
+                MetricValue::Gauge(v) => gauges.push(format!("{}: {v}", escape(&e.name))),
                 MetricValue::Histogram { bounds, buckets, count, sum } => {
                     let bucket_objs: Vec<String> = buckets
                         .iter()
@@ -721,8 +722,8 @@ impl Snapshot {
                         })
                         .collect();
                     hists.push(format!(
-                        "\"{}\": {{\"count\": {count}, \"sum\": {sum}, \"buckets\": [{}]}}",
-                        esc(&e.name),
+                        "{}: {{\"count\": {count}, \"sum\": {sum}, \"buckets\": [{}]}}",
+                        escape(&e.name),
                         bucket_objs.join(", ")
                     ));
                 }
@@ -909,6 +910,17 @@ mod tests {
         let help_at = prom.find("# HELP f_total").unwrap();
         let type_at = prom.find("# TYPE f_total").unwrap();
         assert!(help_at < type_at, "HELP precedes TYPE:\n{prom}");
+    }
+
+    #[test]
+    fn control_characters_in_label_values_still_render_valid_json() {
+        let reg = Registry::new();
+        reg.counter_with("odd_total", &[("v", "a\tb\r\u{1}")]).inc();
+        reg.gauge_with("odd", &[("v", "a\tb\r\u{1}")]).set(1.0);
+        reg.histogram("odd_seconds", &[1.0]).observe(0.5);
+        let json = reg.snapshot().to_json();
+        edgebol_trace::json::validate(&json).unwrap_or_else(|e| panic!("{e}:\n{json}"));
+        assert!(json.contains("\"odd_total{v=\\\"a\\tb\\r\\u0001\\\"}\": 1"), "{json}");
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! * Malformed input surfaces as [`OranError::Codec`], never a panic.
 
 use crate::OranError;
-use serde::{Deserialize, Serialize};
+use edgebol_trace::json::push_escaped;
 use std::fmt::Write as _;
 
 /// The policy type id this workspace registers for its radio policy
@@ -24,12 +24,12 @@ use std::fmt::Write as _;
 pub const A1_POLICY_TYPE_RADIO: u32 = 20_008;
 
 /// Identifier of a deployed policy instance.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct PolicyId(pub String);
 
 /// The radio policy content EdgeBOL deploys through A1: the two §3
 /// policies the vBS must respect.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RadioPolicy {
     /// Policy 2 — uplink airtime fraction in (0, 1].
     pub airtime: f64,
@@ -38,7 +38,7 @@ pub struct RadioPolicy {
 }
 
 /// Lifecycle status of a policy instance (A1 policy feedback).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PolicyStatus {
     /// Accepted and being enforced.
     Enforced,
@@ -70,8 +70,7 @@ impl PolicyStatus {
 /// Messages of the A1 Policy Management Service (plus the KPI stream the
 /// data-collector rApp consumes via the O1/data path, which we carry on
 /// the same duplex for simplicity).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-#[serde(tag = "msg")]
+#[derive(Debug, Clone, PartialEq)]
 pub enum A1Message {
     /// non-RT RIC → near-RT RIC: create/update a policy instance.
     PutPolicy { policy_id: PolicyId, policy_type: u32, policy: RadioPolicy },
@@ -98,7 +97,7 @@ impl A1Message {
         match self {
             A1Message::PutPolicy { policy_id, policy_type, policy } => {
                 out.push_str("{\"msg\":\"PutPolicy\",\"policy_id\":");
-                write_json_string(&mut out, &policy_id.0);
+                push_escaped(&mut out, &policy_id.0);
                 // The write! sink is a String: infallible by construction.
                 let _ = write!(out, ",\"policy_type\":{policy_type},\"policy\":{{\"airtime\":");
                 write_json_f64(&mut out, policy.airtime);
@@ -106,12 +105,12 @@ impl A1Message {
             }
             A1Message::DeletePolicy { policy_id } => {
                 out.push_str("{\"msg\":\"DeletePolicy\",\"policy_id\":");
-                write_json_string(&mut out, &policy_id.0);
+                push_escaped(&mut out, &policy_id.0);
                 out.push('}');
             }
             A1Message::Feedback { policy_id, status } => {
                 out.push_str("{\"msg\":\"Feedback\",\"policy_id\":");
-                write_json_string(&mut out, &policy_id.0);
+                push_escaped(&mut out, &policy_id.0);
                 let _ = write!(out, ",\"status\":\"{}\"}}", status.as_str());
             }
             A1Message::KpiSample { t_ms, bs_power_mw } => {
@@ -187,24 +186,6 @@ impl RadioPolicy {
     pub fn is_valid(&self) -> bool {
         self.airtime > 0.0 && self.airtime <= 1.0 && self.max_mcs <= 28
     }
-}
-
-fn write_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 fn write_json_f64(out: &mut String, v: f64) {

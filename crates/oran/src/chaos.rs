@@ -13,12 +13,10 @@
 //!   (per-link, per-direction [`LaneConfig`] rates with optional burst
 //!   windows). One plan wraps any number of transports and collects every
 //!   injected fault into one shared [`FaultLedger`].
-//! * [`ChaosEndpoint`] — the decorator over the in-process
-//!   [`Endpoint`], implementing the same [`Link`] contract the RIC
-//!   actors are generic over.
-//! * [`ChaosFramedTcp`] — the same per-frame fault pipeline applied to a
-//!   blocking [`FramedTcp`] stream (send side; the receive side of a TCP
-//!   link is faulted by the peer's decorator).
+//! * [`ChaosEndpoint`] — the decorator over any [`Link`] (the
+//!   in-process [`Endpoint`] or a reactor-managed TCP session),
+//!   implementing the same [`Link`] contract the RIC actors are generic
+//!   over.
 //!
 //! # Determinism
 //!
@@ -52,7 +50,7 @@
 
 use crate::a1::A1Message;
 use crate::e2::{tag, E2Codec};
-use crate::transport::{Endpoint, FramedTcp, Link};
+use crate::transport::{Endpoint, Link};
 use crate::OranError;
 use bytes::Bytes;
 use edgebol_metrics::{Counter, Registry};
@@ -852,33 +850,6 @@ impl ChaosPlan {
                 .counter_with("edgebol_oran_redelivered_frames_total", &[("link", l)]),
         }
     }
-
-    /// Applies the plan to a framed TCP stream (send-side faults; the
-    /// peer's decorator owns the other direction).
-    pub fn wrap_tcp(&self, inner: FramedTcp, link: LinkId) -> ChaosFramedTcp {
-        let lane_cfg = match link {
-            LinkId::A1 => self.cfg.a1_tx,
-            LinkId::E2 => self.cfg.e2_tx,
-        };
-        let l = link.label();
-        ChaosFramedTcp {
-            inner,
-            link,
-            armed: self.armed.clone(),
-            ledger: self.ledger.clone(),
-            lane: Lane::new(
-                lane_cfg,
-                Direction::Tx,
-                lane_seed(self.cfg.seed, link, Direction::Tx, 1),
-            ),
-            m_tx_frames: self
-                .metrics
-                .counter_with("edgebol_oran_frames_total", &[("dir", "tx"), ("link", l)]),
-            m_tx_bytes: self
-                .metrics
-                .counter_with("edgebol_oran_bytes_total", &[("dir", "tx"), ("link", l)]),
-        }
-    }
 }
 
 /// The fault-injecting decorator over any [`Link`] (the in-process
@@ -1122,96 +1093,12 @@ impl<L: Link> Link for ChaosEndpoint<L> {
     }
 }
 
-/// The fault pipeline applied to a blocking [`FramedTcp`] stream.
-///
-/// Faults apply on `send` (dropping on the blocking receive side would
-/// stall the peer instead of modelling loss); each side of a TCP link
-/// wraps its own transmitter, which together covers both directions.
-#[derive(Debug)]
-pub struct ChaosFramedTcp {
-    inner: FramedTcp,
-    link: LinkId,
-    armed: Arc<AtomicBool>,
-    ledger: FaultLedger,
-    lane: Lane,
-    m_tx_frames: Counter,
-    m_tx_bytes: Counter,
-}
-
-impl ChaosFramedTcp {
-    /// Sends one frame through the fault pipeline.
-    ///
-    /// # Errors
-    /// As [`FramedTcp::send`].
-    pub fn send(&mut self, payload: &[u8]) -> Result<(), OranError> {
-        self.m_tx_frames.inc();
-        self.m_tx_bytes.add(payload.len() as u64);
-        if !self.armed.load(Ordering::SeqCst) {
-            return self.inner.send(payload);
-        }
-        self.lane.op += 1;
-        while let Some(f) = self.lane.pop_due() {
-            self.inner.send(&f)?;
-        }
-        let decision = self.lane.decide();
-        match decision {
-            None | Some(FaultKind::Reorder) | Some(FaultKind::LinkCut) => self.inner.send(payload),
-            Some(FaultKind::Drop) => {
-                self.push_record(FaultKind::Drop, payload, "frame dropped".into());
-                Ok(())
-            }
-            Some(FaultKind::Duplicate) => {
-                self.push_record(FaultKind::Duplicate, payload, "frame sent twice".into());
-                self.inner.send(payload)?;
-                self.inner.send(payload)
-            }
-            Some(FaultKind::CorruptBitFlip) | Some(FaultKind::CorruptTruncate) => {
-                let flip = self.lane.rng.random_bool(0.5);
-                let pos: u64 = self.lane.rng.random();
-                let (mangled, kind, detail) = corrupt_payload(self.link, payload, flip, pos);
-                self.push_record(kind, payload, detail);
-                self.inner.send(&mangled)
-            }
-            Some(FaultKind::Delay) => {
-                let release = self.lane.op + self.lane.cfg.delay_ops.max(1);
-                self.push_record(FaultKind::Delay, payload, format!("held until op {release}"));
-                self.lane.held.push_back((release, Bytes::copy_from_slice(payload)));
-                Ok(())
-            }
-        }
-    }
-
-    /// Receives one frame (blocking, unfaulted — the peer's decorator
-    /// owns this direction).
-    ///
-    /// # Errors
-    /// As [`FramedTcp::recv`].
-    pub fn recv(&mut self) -> Result<Bytes, OranError> {
-        self.inner.recv()
-    }
-
-    fn push_record(&self, kind: FaultKind, payload: &[u8], detail: String) {
-        self.ledger.push(FaultRecord {
-            seq: 0,
-            link: self.link,
-            direction: self.lane.dir,
-            kind,
-            msg: classify(self.link, payload),
-            op: self.lane.op,
-            detail,
-            heals: false,
-        });
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::a1::{PolicyId, PolicyStatus, RadioPolicy};
     use crate::e2::{E2Message, KpiReport, RAN_FUNC_KPI};
     use crate::transport::duplex_pair;
-    use std::net::TcpListener;
-    use std::thread;
 
     fn armed_pair(cfg: ChaosConfig) -> (Endpoint, ChaosEndpoint, ChaosPlan) {
         let plan = ChaosPlan::new(cfg);
@@ -1451,31 +1338,6 @@ mod tests {
         assert_eq!(wrapped.try_recv().unwrap().unwrap(), frame(0));
         assert!(plan.ledger().is_empty());
         assert!(!plan.is_armed());
-    }
-
-    #[test]
-    fn chaos_framed_tcp_duplicates_deterministically() {
-        let lane = LaneConfig { duplicate: 1.0, ..LaneConfig::off() };
-        let plan = ChaosPlan::new(ChaosConfig::uniform(3, lane));
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let server = thread::spawn(move || {
-            let (stream, _) = listener.accept().unwrap();
-            let mut t = FramedTcp::new(stream);
-            let mut got = Vec::new();
-            for _ in 0..4 {
-                got.push(t.recv().unwrap());
-            }
-            got
-        });
-        let client = FramedTcp::connect(&addr.to_string()).unwrap();
-        let mut chaotic = plan.wrap_tcp(client, LinkId::E2);
-        plan.arm();
-        chaotic.send(&frame(0)).unwrap();
-        chaotic.send(&frame(1)).unwrap();
-        let got = server.join().unwrap();
-        assert_eq!(got, vec![frame(0), frame(0), frame(1), frame(1)]);
-        assert_eq!(plan.ledger().count_kind(FaultKind::Duplicate), 2);
     }
 
     #[test]

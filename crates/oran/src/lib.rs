@@ -46,8 +46,8 @@ pub mod transport;
 
 pub use a1::{A1Message, PolicyId, PolicyStatus, RadioPolicy, A1_POLICY_TYPE_RADIO};
 pub use chaos::{
-    corrupt_payload, ChaosConfig, ChaosEndpoint, ChaosFramedTcp, ChaosPlan, Direction, FaultKind,
-    FaultLedger, FaultRecord, LaneConfig, LinkId, MsgClass,
+    corrupt_payload, ChaosConfig, ChaosEndpoint, ChaosPlan, Direction, FaultKind, FaultLedger,
+    FaultRecord, LaneConfig, LinkId, MsgClass,
 };
 pub use e2::{E2Codec, E2Message, KpiReport};
 pub use ops::{HealthHandle, OpsServer, OpsState};

@@ -236,10 +236,10 @@ impl Drop for Endpoint {
 
 /// Which transport carries the orchestrator's A1/E2 links.
 ///
-/// Selected per-construction (`Orchestrator::new_with_transport`) or
-/// fleet-wide via the `EDGEBOL_TRANSPORT` env knob; both paths build the
-/// same actors over [`AnyLink`], and `tests/reactor.rs` pins that a
-/// fixed-seed episode is f64-bit-identical across the two kinds.
+/// Selected per construction (`Orchestrator::new_with_transport`; the
+/// bench harness fills it from the `EDGEBOL_TRANSPORT` knob). Both kinds
+/// build the same actors over [`AnyLink`], and `tests/reactor.rs` pins
+/// that a fixed-seed episode is f64-bit-identical across the two.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TransportKind {
     /// In-process mutex-guarded queues ([`duplex_pair`]) — the seed
@@ -249,23 +249,6 @@ pub enum TransportKind {
     /// Reactor-managed nonblocking framed TCP over loopback
     /// ([`crate::reactor::Reactor::pair`]) — the fleet-scale transport.
     Reactor,
-}
-
-impl TransportKind {
-    /// Reads the `EDGEBOL_TRANSPORT` knob: `poll` (default) | `reactor`.
-    ///
-    /// # Panics
-    /// Panics on any other value — a misspelled transport must not
-    /// silently fall back and invalidate a comparison run.
-    pub fn from_env() -> Self {
-        match std::env::var("EDGEBOL_TRANSPORT").as_deref() {
-            Err(_) | Ok("") | Ok("poll") => TransportKind::Poll,
-            Ok("reactor") => TransportKind::Reactor,
-            Ok(other) => {
-                panic!("invalid EDGEBOL_TRANSPORT value {other:?}: expected poll or reactor")
-            }
-        }
-    }
 }
 
 /// A [`Link`] over either transport, so the orchestrator's actors are

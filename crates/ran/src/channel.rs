@@ -3,7 +3,6 @@
 use crate::phy::cqi_from_snr;
 use edgebol_linalg::stats::normal;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A UE's uplink channel: slow mean SNR plus fast per-subframe fading.
 ///
@@ -11,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// SNR; we model the same knob plus the residual variability a real link
 /// shows (shadowing random-walk + per-subframe fast fading), which is what
 /// makes CQI reports — and hence the learning context — noisy.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ChannelModel {
     /// Slowly varying mean SNR (dB), the experiment's control knob.
     pub mean_snr_db: f64,
@@ -71,7 +70,7 @@ impl ChannelModel {
 
 /// A piecewise-constant SNR trajectory over time periods, used to drive
 /// the dynamic-context experiments (Fig. 13: SNR varying 5–38 dB).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SnrTrace {
     /// `(period index at which the value starts, mean SNR dB)` pairs,
     /// sorted by period.

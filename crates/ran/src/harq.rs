@@ -2,7 +2,6 @@
 
 use crate::phy::{bler, Mcs};
 use rand::{Rng, RngExt};
-use serde::{Deserialize, Serialize};
 
 /// Outcome of transmitting one transport block through HARQ.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -16,7 +15,7 @@ pub struct HarqOutcome {
 /// LTE-style HARQ: up to `max_attempts` transmissions of a block, each
 /// retransmission arriving one `rtt_s` later, with chase combining adding
 /// ~`combining_gain_db` of effective SNR per accumulated copy.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct HarqModel {
     /// Maximum transmissions of one block (LTE default: 4).
     pub max_attempts: u8,

@@ -16,10 +16,9 @@
 use crate::channel::ChannelModel;
 use crate::phy::{max_mcs_for_cqi, tbs_bits, Mcs};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Policy 2: the fraction of subframes the slice may occupy, in (0, 1].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AirtimePolicy(pub f64);
 
 impl AirtimePolicy {
@@ -31,7 +30,7 @@ impl AirtimePolicy {
 }
 
 /// Policy 4: an upper bound on the eligible MCS.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct McsPolicy(pub Mcs);
 
 /// One UE attached to the slice.

@@ -10,8 +10,6 @@
 //! peak UL rate lands near the ~50 Mb/s the paper quotes for its SISO
 //! 20 MHz deployment.
 
-use serde::{Deserialize, Serialize};
-
 /// Number of uplink MCS indices modelled (0..=28).
 pub const NUM_MCS: usize = 29;
 
@@ -27,7 +25,7 @@ pub const SUBFRAME_S: f64 = 1e-3;
 pub const DATA_RES_PER_PRB: f64 = 90.0;
 
 /// An uplink MCS index (0..=28).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Mcs(pub u8);
 
 impl Mcs {

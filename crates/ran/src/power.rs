@@ -20,10 +20,9 @@
 //! model.
 
 use crate::phy::{mcs_efficiency, Mcs};
-use serde::{Deserialize, Serialize};
 
 /// Baseband-unit power model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BbuPowerModel {
     /// Idle baseband power (W): the srsRAN process + NUC platform share
     /// attributable to the vBS when no subframe is processed.

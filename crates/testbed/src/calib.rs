@@ -4,11 +4,10 @@
 use edgebol_edge::{GpuModel, ServerPowerModel};
 use edgebol_media::{DetectorModel, EncodeModel};
 use edgebol_ran::{BbuPowerModel, HarqModel};
-use serde::{Deserialize, Serialize};
 
 /// All tunable constants of the testbed, with defaults calibrated so the
 /// simulator reproduces the operating points of the paper's figures.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Calibration {
     /// UE-side encoding model (≈225 kB at 100% res → peak offered load
     /// ≈2.8 Mb/s as quoted in §3).

@@ -1,10 +1,9 @@
 //! Shared observation and control types.
 
 use edgebol_ran::Mcs;
-use serde::{Deserialize, Serialize};
 
 /// The control policy `x = [eta, a, gamma, m]` of §4.2, in physical units.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ControlInput {
     /// Policy 1 — image resolution fraction in (0, 1].
     pub resolution: f64,
@@ -49,7 +48,7 @@ impl ControlInput {
 }
 
 /// The context `c_t = [n_t, mean CQI, var CQI]` of §4.2.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ContextObs {
     /// Number of users in the slice.
     pub num_users: usize,
@@ -73,7 +72,7 @@ impl ContextObs {
 
 /// One period's noisy KPI observations (§4.2): the four quantities
 /// EdgeBOL's GPs are trained on.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PeriodObservation {
     /// Service delay `d_t` (worst across users), seconds.
     pub delay_s: f64,

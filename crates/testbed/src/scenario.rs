@@ -1,10 +1,9 @@
 //! Experiment scenarios: user populations and SNR dynamics.
 
 use edgebol_ran::SnrTrace;
-use serde::{Deserialize, Serialize};
 
 /// One user's radio situation.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct UserCfg {
     /// Mean uplink SNR (dB) relative to the scenario trace: the user's
     /// effective mean SNR at period `t` is `trace.snr_at(t) + offset_db`.
@@ -12,7 +11,7 @@ pub struct UserCfg {
 }
 
 /// A full experiment scenario.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Scenario {
     /// The base SNR trajectory (constant for static experiments,
     /// [`SnrTrace::dynamic_fig13`] for Fig. 13).

@@ -309,6 +309,10 @@ impl StageSpan<'_> {
     }
 }
 
+/// How many trailing periods of journal events a flight record keeps:
+/// the `keep_periods` every driver passes to [`dump_flight_record`].
+pub const FLIGHT_KEEP_PERIODS: u64 = 16;
+
 /// Filters the last `keep_periods` periods of `journal` and writes
 /// them as one JSON incident file under `dir`.
 ///

@@ -28,6 +28,7 @@ use edgebol_core::agent::EdgeBolAgent;
 use edgebol_core::orchestrator::{Orchestrator, OrchestratorError};
 use edgebol_core::problem::ProblemSpec;
 use edgebol_core::trace::Trace;
+use edgebol_metrics::Registry;
 use edgebol_oran::{
     ChaosConfig, FallbackMode, FaultKind, FaultRecord, LaneConfig, LinkId, MsgClass, RecoveryPolicy,
 };
@@ -39,12 +40,25 @@ fn seed_offset() -> u64 {
     std::env::var("EDGEBOL_CHAOS_SEED").ok().and_then(|v| v.parse().ok()).unwrap_or(0)
 }
 
+/// Builds over the `EDGEBOL_TRANSPORT` transport, so the CI pass with
+/// `EDGEBOL_TRANSPORT=reactor` runs every orchestrator of this suite
+/// over the reactor.
 fn build(env_seed: u64, chaos: ChaosConfig) -> Orchestrator {
     let spec = ProblemSpec::new(1.0, 8.0, 0.5, 0.4);
     let env = FlowTestbed::new(Calibration::fast(), Scenario::chaos_suite(), env_seed);
     let agent = EdgeBolAgent::quick_for_tests(&spec, env_seed);
-    Orchestrator::new_with_chaos(Box::new(env), Box::new(agent), spec, chaos)
-        .expect("in-process setup never fails pre-arm")
+    let transport = edgebol_bench::env::transport();
+    let o = Orchestrator::new_with_transport(
+        Box::new(env),
+        Box::new(agent),
+        spec,
+        chaos,
+        Registry::disabled(),
+        transport,
+    )
+    .expect("setup never fails pre-arm");
+    assert_eq!(o.transport(), transport);
+    o
 }
 
 /// One full episode; returns the trace plus the orchestrator for its
@@ -90,14 +104,8 @@ fn zero_rate_chaos_is_byte_identical_to_fault_free() {
     let seed = 31 + seed_offset();
     // A plan with a live seed but all-zero rates...
     let (chaotic, o) = episode(seed, 40, ChaosConfig::uniform(777, LaneConfig::off()));
-    // ...against the plain fault-free constructor.
-    let spec = ProblemSpec::new(1.0, 8.0, 0.5, 0.4);
-    let env = FlowTestbed::new(Calibration::fast(), Scenario::chaos_suite(), seed);
-    let agent = EdgeBolAgent::quick_for_tests(&spec, seed);
-    let clean = Orchestrator::new(Box::new(env), Box::new(agent), spec)
-        .expect("in-process setup")
-        .try_run(40)
-        .expect("in-process control plane");
+    // ...against a fault-free orchestrator.
+    let clean = build(seed, ChaosConfig::disabled()).try_run(40).expect("fault-free control plane");
     assert_eq!(chaotic, clean, "zero-rate chaos must be transparent");
     assert!(o.fault_ledger().is_empty());
     assert_eq!(o.degraded_events(), 0);

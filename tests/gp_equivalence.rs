@@ -115,16 +115,13 @@ fn fixed_seed_episode_plans_identically_under_both_strategies() {
     assert_eq!(downdate, rebuild, "downdate and rebuild episodes diverged (plan or realized cost)");
 }
 
-/// The environment knob wires through: a GP built while
-/// `EDGEBOL_GP_EVICT` has no override defaults to the downdate, and the
-/// explicit builder always wins over the environment.
+/// A fresh GP defaults to the downdate, and the explicit builder
+/// overrides the default.
 #[test]
 fn builder_overrides_env_default() {
     let gp = GaussianProcess::new(Kernel::matern32(1.0, vec![0.3]), 1e-4)
         .with_evict_strategy(EvictStrategy::Rebuild);
     assert_eq!(gp.evict_strategy(), EvictStrategy::Rebuild);
-    if std::env::var("EDGEBOL_GP_EVICT").is_err() {
-        let fresh = GaussianProcess::new(Kernel::matern32(1.0, vec![0.3]), 1e-4);
-        assert_eq!(fresh.evict_strategy(), EvictStrategy::Downdate);
-    }
+    let fresh = GaussianProcess::new(Kernel::matern32(1.0, vec![0.3]), 1e-4);
+    assert_eq!(fresh.evict_strategy(), EvictStrategy::Downdate);
 }

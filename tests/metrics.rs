@@ -18,13 +18,13 @@
 //! `EDGEBOL_CHAOS_SEED` offsets the chaos seeds (the CI stress step
 //! loops this suite over ten values); every invariant holds per seed.
 
-use edgebol_bench::parallel_map_threads;
 use edgebol_core::agent::EdgeBolAgent;
 use edgebol_core::orchestrator::Orchestrator;
+use edgebol_core::parallel_map_threads;
 use edgebol_core::problem::ProblemSpec;
 use edgebol_core::trace::Trace;
 use edgebol_metrics::{MetricValue, Registry, Snapshot};
-use edgebol_oran::{ChaosConfig, FallbackMode, FaultKind, LinkId, RecoveryPolicy};
+use edgebol_oran::{ChaosConfig, FallbackMode, FaultKind, LinkId, RecoveryPolicy, TransportKind};
 use edgebol_testbed::{Calibration, FlowTestbed, Scenario};
 
 /// Seed offset for the CI chaos-stress loop (defaults to 0).
@@ -36,7 +36,8 @@ fn build(env_seed: u64, chaos: ChaosConfig, metrics: Registry) -> Orchestrator {
     let spec = ProblemSpec::new(1.0, 8.0, 0.5, 0.4);
     let env = FlowTestbed::new(Calibration::fast(), Scenario::chaos_suite(), env_seed);
     let agent = EdgeBolAgent::quick_for_tests(&spec, env_seed);
-    Orchestrator::new_instrumented(Box::new(env), Box::new(agent), spec, chaos, metrics)
+    let poll = TransportKind::Poll;
+    Orchestrator::new_with_transport(Box::new(env), Box::new(agent), spec, chaos, metrics, poll)
         .expect("in-process setup never fails pre-arm")
 }
 
@@ -83,7 +84,7 @@ fn fixed_seed_snapshot_is_bit_stable_across_runs() {
 fn fleet_counters(threads: usize) -> Snapshot {
     let reg = Registry::new();
     let reg_ref = &reg;
-    parallel_map_threads(threads, 6, |i| {
+    parallel_map_threads(threads, 6, edgebol_bench::metrics(), |i| {
         let chaos = ChaosConfig::all_kinds(40 + seed_offset() + i as u64, 0.06);
         let mut o = build(7 + i as u64, chaos, reg_ref.clone());
         o.try_run(12).expect("recoverable-only schedules never abort");

@@ -7,9 +7,10 @@ use edgebol_core::problem::ProblemSpec;
 use edgebol_gp::{EvictStrategy, GaussianProcess, Kernel};
 use edgebol_linalg::{Cholesky, Mat};
 use edgebol_media::{mean_average_precision, Dataset, DetectorModel};
+use edgebol_metrics::Registry;
 use edgebol_oran::{
     corrupt_payload, A1Message, ChaosConfig, E2Codec, E2Message, KpiReport, LinkId, OranError,
-    PolicyId, RadioPolicy, A1_POLICY_TYPE_RADIO,
+    PolicyId, RadioPolicy, TransportKind, A1_POLICY_TYPE_RADIO,
 };
 use edgebol_ran::{bler, cqi_from_snr, max_mcs_for_cqi, tbs_bits, Mcs};
 use edgebol_testbed::{Calibration, ControlInput, FlowTestbed, Scenario};
@@ -319,11 +320,13 @@ proptest! {
             let spec = ProblemSpec::new(1.0, 8.0, 0.5, 0.4);
             let env = FlowTestbed::new(Calibration::fast(), Scenario::chaos_suite(), 11);
             let agent = EdgeBolAgent::quick_for_tests(&spec, 11);
-            let mut o = Orchestrator::new_with_chaos(
+            let mut o = Orchestrator::new_with_transport(
                 Box::new(env),
                 Box::new(agent),
                 spec,
                 ChaosConfig::all_kinds(chaos_seed, rate),
+                Registry::disabled(),
+                TransportKind::Poll,
             )
             .expect("setup is pre-arm");
             let trace = o.try_run(6).expect("recoverable-only schedule must not abort");
@@ -361,8 +364,15 @@ proptest! {
             if let Some(h) = heal {
                 cfg = cfg.with_heal(h);
             }
-            let mut o = Orchestrator::new_with_chaos(Box::new(env), Box::new(agent), spec, cfg)
-                .expect("setup is pre-arm");
+            let mut o = Orchestrator::new_with_transport(
+                Box::new(env),
+                Box::new(agent),
+                spec,
+                cfg,
+                Registry::disabled(),
+                TransportKind::Poll,
+            )
+            .expect("setup is pre-arm");
             let trace = o.try_run(20).expect("sticky fallback never aborts");
             (
                 trace,

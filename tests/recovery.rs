@@ -22,9 +22,9 @@
 //! step loops this suite over ten values); every invariant holds per
 //! seed.
 
-use edgebol_bench::parallel_map_threads;
 use edgebol_core::agent::EdgeBolAgent;
 use edgebol_core::orchestrator::Orchestrator;
+use edgebol_core::parallel_map_threads;
 use edgebol_core::problem::ProblemSpec;
 use edgebol_core::trace::Trace;
 use edgebol_metrics::Registry;
@@ -36,12 +36,25 @@ fn seed_offset() -> u64 {
     std::env::var("EDGEBOL_CHAOS_SEED").ok().and_then(|v| v.parse().ok()).unwrap_or(0)
 }
 
+/// Builds over the `EDGEBOL_TRANSPORT` transport, so the CI pass with
+/// `EDGEBOL_TRANSPORT=reactor` runs every orchestrator of this suite
+/// over the reactor.
 fn build(env_seed: u64, chaos: ChaosConfig, metrics: Registry) -> Orchestrator {
     let spec = ProblemSpec::new(1.0, 8.0, 0.5, 0.4);
     let env = FlowTestbed::new(Calibration::fast(), Scenario::recovery_suite(), env_seed);
     let agent = EdgeBolAgent::quick_for_tests(&spec, env_seed);
-    Orchestrator::new_instrumented(Box::new(env), Box::new(agent), spec, chaos, metrics)
-        .expect("in-process setup never fails pre-arm")
+    let transport = edgebol_bench::env::transport();
+    let o = Orchestrator::new_with_transport(
+        Box::new(env),
+        Box::new(agent),
+        spec,
+        chaos,
+        metrics,
+        transport,
+    )
+    .expect("setup never fails pre-arm");
+    assert_eq!(o.transport(), transport);
+    o
 }
 
 /// The acceptance schedule from the issue: cut the E2 link after 40
@@ -143,7 +156,7 @@ fn recovery_runs_are_bit_identical_across_reruns_and_thread_counts() {
     // the supervisor's clocked state machine must not introduce any
     // wall-clock or scheduling dependence.
     let fleet = |threads: usize| -> Vec<(Trace, u64, u64, usize, Option<usize>)> {
-        parallel_map_threads(threads, 4, |i| {
+        parallel_map_threads(threads, 4, edgebol_bench::metrics(), |i| {
             let mut o = build(10 + i as u64 + seed_offset(), healing_cut(), Registry::disabled());
             let trace = o.try_run(60).expect("a healed cut must not abort the run");
             (
