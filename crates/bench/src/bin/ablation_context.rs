@@ -74,7 +74,7 @@ fn main() {
                 costs.push(cost);
                 agent.update(&ctx, idx, &Feedback { cost, delay_s: delay, map: rho });
             }
-            let tail = costs[periods - 20..].iter().sum::<f64>() / 20.0;
+            let tail = edgebol_bench::tail_mean(&costs, 20);
             // Convergence: last time cost left a 10% band around the tail.
             let mut conv = 0;
             for (i, &c) in costs.iter().enumerate() {

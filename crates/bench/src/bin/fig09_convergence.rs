@@ -74,13 +74,7 @@ fn main() {
         let conv: Vec<f64> =
             traces.iter().filter_map(|t| t.convergence_period(0.10).map(|c| c as f64)).collect();
         let tail = |f: fn(&edgebol_core::trace::Trace) -> Vec<f64>| -> f64 {
-            let v: Vec<f64> = traces
-                .iter()
-                .map(|t| {
-                    let s = f(t);
-                    s[s.len() - 20..].iter().sum::<f64>() / 20.0
-                })
-                .collect();
+            let v: Vec<f64> = traces.iter().map(|t| edgebol_bench::tail_mean(&f(t), 20)).collect();
             edgebol_bench::median(&v)
         };
         let sat: Vec<f64> = traces.iter().map(|t| t.satisfaction_rate(30)).collect();

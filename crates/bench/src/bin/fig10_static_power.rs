@@ -66,13 +66,8 @@ fn main() {
                 |seed| Box::new(EdgeBolAgent::paper(&spec, 0x33 + seed)),
             );
             let tail = |f: &dyn Fn(&edgebol_core::trace::Trace) -> Vec<f64>| -> f64 {
-                let v: Vec<f64> = traces
-                    .iter()
-                    .map(|t| {
-                        let s = f(t);
-                        s[s.len() - 20..].iter().sum::<f64>() / 20.0
-                    })
-                    .collect();
+                let v: Vec<f64> =
+                    traces.iter().map(|t| edgebol_bench::tail_mean(&f(t), 20)).collect();
                 edgebol_bench::median(&v)
             };
             let bs = tail(&|t| t.bs_powers());

@@ -140,7 +140,7 @@ fn main() {
         let reps_out =
             edgebol_bench::parallel_map(reps, |rep| runner(periods, 0x2511 + rep as u64));
         for (costs, violations) in reps_out {
-            let tail = costs[periods - 20..].iter().sum::<f64>() / 20.0;
+            let tail = edgebol_bench::tail_mean(&costs, 20);
             tails.push(tail);
             viols.push(violations as f64 / periods as f64);
             let mut conv = 0;

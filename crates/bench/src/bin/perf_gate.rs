@@ -27,7 +27,9 @@
 //!   what batching and the cache-tiled posterior save, on any machine.
 //!   The two are timed in alternating pairs and the gate reads the median
 //!   per-pair ratio, which a shared host's drift within a run moves
-//!   least.
+//!   least. The gate prints which build of the tile solve ran (`avx2` or
+//!   `portable`). The queries share no leading coordinates, so the
+//!   distance hoist of `predict_batch` does not apply here.
 //!
 //! Medians over `EDGEBOL_GATE_SAMPLES` (default 30; at most 10 pairs for
 //! the posterior arms) individually-timed steady-state iterations after
@@ -146,6 +148,7 @@ fn main() {
         },
     );
 
+    let tile_path = if edgebol_linalg::avx2_tiles() { "avx2" } else { "portable" };
     let ratio = rebuild / downdate;
     println!("perf gate (median over {samples} samples, window T=200):");
     println!("  gp_evict_downdate_T200          {downdate:10.1} us  (bound {evict_bound_us} us)");
@@ -153,6 +156,7 @@ fn main() {
     println!("  rebuild/downdate ratio          {ratio:10.1}x   (bound >= {min_ratio}x)");
     println!("  gp_predict_batch_T200_M1000     {batch:10.1} us  (bound {batch_bound_us} us)");
     println!("  gp_predict_pointwise_T200_x1000 {pointwise:10.1} us");
+    println!("  tile solve path                 {tile_path:>10}");
     println!("  pointwise/batch ratio           {speedup:10.2}x   (bound >= {MIN_BATCH_SPEEDUP}x)");
 
     let mut failed = false;

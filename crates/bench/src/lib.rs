@@ -521,6 +521,16 @@ pub fn percentile(xs: &[f64], q: f64) -> f64 {
     edgebol_linalg::stats::percentile(xs, q)
 }
 
+/// Mean of the last `min(k, len)` values of `series`, the converged
+/// level the figures report; NaN for an empty series.
+pub fn tail_mean(series: &[f64], k: usize) -> f64 {
+    let k = k.min(series.len());
+    if k == 0 {
+        return f64::NAN;
+    }
+    series[series.len() - k..].iter().sum::<f64>() / k as f64
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -546,6 +556,19 @@ mod tests {
         assert_eq!(f3(1.23456), "1.235");
         assert_eq!(f1(1.26), "1.3");
         assert_eq!(median(&[3.0, 1.0, 2.0]), 2.0);
+    }
+
+    /// Short series average what they have; full-length ones keep the
+    /// bits of the fixed 20-period expression the figures used.
+    #[test]
+    fn tail_mean_averages_at_most_the_last_k() {
+        assert!(tail_mean(&[], 20).is_nan());
+        let s: Vec<f64> = (0..150).map(|i| 150.0 + 40.0 * (i as f64 * 0.37).sin()).collect();
+        assert_eq!(tail_mean(&s[..5], 20), s[..5].iter().sum::<f64>() / 5.0);
+        for len in [20, 150] {
+            let old = s[len - 20..len].iter().sum::<f64>() / 20.0;
+            assert_eq!(tail_mean(&s[..len], 20).to_bits(), old.to_bits(), "len {len}");
+        }
     }
 
     #[test]

@@ -269,10 +269,13 @@ impl GaussianProcess {
     /// The candidates stream through tiles of `TILE` columns: each tile's
     /// cross-kernel block `K*` (`n x TILE`, 25 KB at `n = 200`) is filled,
     /// read once for the means and solved in place into `L^{-1} K*` for
-    /// the variances, so no `n x m` matrix is ever built. Each column's
-    /// kernel values, mean sum, forward substitution and variance sum run
-    /// in the order they would for that column alone, so its values do not
-    /// depend on which candidates share its tile.
+    /// the variances, so no `n x m` matrix is ever built. The leading
+    /// coordinates every candidate shares (EdgeBOL's context) add the same
+    /// term to each column's distance from a window point, so that term is
+    /// summed once per call. Each column's kernel values, mean sum, forward
+    /// substitution and variance sum run in the order they would for that
+    /// column alone, so its values do not depend on which candidates share
+    /// its tile or its batch.
     ///
     /// # Panics
     /// Panics if `points.len()` is not a multiple of `kernel.dim()`.
@@ -287,18 +290,23 @@ impl GaussianProcess {
         let prior = self.kernel.prior_var();
         let mut means = Vec::with_capacity(m);
         let mut stds = Vec::with_capacity(m);
-        // The tile's points, dimension-major; a partial last tile is
-        // padded with zero points whose columns are dropped.
-        let mut pts = vec![[0.0; TILE]; d];
+        // The leading coordinates all candidates share (a period's
+        // context) contribute the same distance to every column: sum it
+        // once per window point.
+        let shared = shared_prefix(points, d);
+        let base = self.kernel.prefix_sq_dists(&self.xs, &points[..shared]);
+        // The tile's remaining coordinates, dimension-major; a partial
+        // last tile is padded with zero points whose columns are dropped.
+        let mut pts = vec![[0.0; TILE]; d - shared];
         let mut kt = vec![[0.0; TILE]; self.len()];
         for tile in points.chunks(TILE * d) {
             let w = tile.len() / d;
             for (k, p) in pts.iter_mut().enumerate() {
                 for (c, v) in p.iter_mut().enumerate() {
-                    *v = if c < w { tile[c * d + k] } else { 0.0 };
+                    *v = if c < w { tile[c * d + shared + k] } else { 0.0 };
                 }
             }
-            self.kernel.eval_tile(&self.xs, &pts, &mut kt);
+            self.kernel.eval_tile(&self.xs, &base, &pts, &mut kt);
             let mut mean = [0.0; TILE];
             for (&a, k) in self.alpha.iter().zip(&kt) {
                 for c in 0..TILE {
@@ -405,6 +413,16 @@ impl GaussianProcess {
         }
         Ok(snap.len())
     }
+}
+
+/// How many leading coordinates every `d`-dim point of the flat `points`
+/// shares with the first, compared by bits; 0 for an empty batch.
+fn shared_prefix(points: &[f64], d: usize) -> usize {
+    let mut rows = points.chunks_exact(d);
+    let Some(first) = rows.next() else { return 0 };
+    rows.fold(d, |s, p| {
+        first[..s].iter().zip(p).take_while(|(a, b)| a.to_bits() == b.to_bits()).count()
+    })
 }
 
 /// A portable export of a GP's retained observations — what
@@ -526,6 +544,15 @@ mod tests {
             assert!((bm[j] - m).abs() < 1e-10, "mean mismatch at {j}");
             assert!((bs[j] - s).abs() < 1e-10, "std mismatch at {j}");
         }
+    }
+
+    /// An empty batch yields two empty vectors, with or without data.
+    #[test]
+    fn empty_batch_returns_empty_vectors() {
+        let mut gp = toy_gp();
+        assert_eq!(gp.predict_batch(&[]), (Vec::new(), Vec::new()));
+        gp.observe(&[0.5], 1.0).unwrap();
+        assert_eq!(gp.predict_batch(&[]), (Vec::new(), Vec::new()));
     }
 
     /// A NaN or infinite candidate poisons at most its own column: every

@@ -114,20 +114,50 @@ impl Kernel {
         self.at_distance(self.scaled_distance(a, b))
     }
 
+    /// `base[i]`: the part of the squared scaled distance from window
+    /// point `x_i` (rows of the flat row-major `xs`) to any point whose
+    /// first `q.len()` coordinates are `q`. Summed in dimension order from
+    /// `0.0`, as [`Kernel::eval`] sums those dimensions, so it is the
+    /// prefix [`Kernel::eval_tile`] resumes from.
+    pub(crate) fn prefix_sq_dists(&self, xs: &[f64], q: &[f64]) -> Vec<f64> {
+        xs.chunks_exact(self.dim())
+            .map(|x| {
+                let mut acc = 0.0;
+                for ((&xk, &qk), &lk) in x.iter().zip(q).zip(&self.lengthscales) {
+                    let d = (xk - qk) / lk;
+                    acc += d * d;
+                }
+                acc
+            })
+            .collect()
+    }
+
     /// Fills `out[i][c] = k(x_i, p_c)` for every point `x_i` of the flat
-    /// row-major `xs` against one tile of `TILE` points stored
-    /// dimension-major (`pts[k][c]` is coordinate `k` of point `c`), so
-    /// the distance loop runs across the tile's columns.
+    /// row-major `xs` against one tile of `TILE` points that share their
+    /// first `dim - pts.len()` coordinates. `base[i]` is those shared
+    /// dimensions' part of the distance ([`Kernel::prefix_sq_dists`]);
+    /// `pts` holds the remaining coordinates dimension-major (`pts[k][c]`
+    /// is the `k`-th of them for point `c`), so the distance loop runs
+    /// across the tile's columns.
     ///
     /// Each entry is bit-identical to [`Kernel::eval`]`(x_i, p_c)`: the
     /// same differences and divisions, summed in dimension order, then
     /// the same covariance expression.
-    pub(crate) fn eval_tile(&self, xs: &[f64], pts: &[[f64; TILE]], out: &mut [[f64; TILE]]) {
-        debug_assert_eq!(pts.len(), self.dim());
-        debug_assert_eq!(xs.len(), out.len() * self.dim());
-        for (x, row) in xs.chunks_exact(self.dim()).zip(out.iter_mut()) {
-            let mut acc = [0.0; TILE];
-            for ((&xk, &lk), p) in x.iter().zip(&self.lengthscales).zip(pts) {
+    pub(crate) fn eval_tile(
+        &self,
+        xs: &[f64],
+        base: &[f64],
+        pts: &[[f64; TILE]],
+        out: &mut [[f64; TILE]],
+    ) {
+        let dim = self.dim();
+        let shared = dim - pts.len();
+        debug_assert_eq!(xs.len(), out.len() * dim);
+        debug_assert_eq!(base.len(), out.len());
+        let ls = &self.lengthscales[shared..];
+        for ((x, &b), row) in xs.chunks_exact(dim).zip(base).zip(out.iter_mut()) {
+            let mut acc = [b; TILE];
+            for ((&xk, &lk), p) in x[shared..].iter().zip(ls).zip(pts) {
                 for c in 0..TILE {
                     let d = (xk - p[c]) / lk;
                     acc[c] += d * d;

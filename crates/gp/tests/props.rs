@@ -66,24 +66,31 @@ proptest! {
     }
 
     /// Batch prediction equals pointwise prediction bit for bit, for every
-    /// kernel family, input dimension and window size, and batches that
-    /// end inside, at and past tile edges.
+    /// kernel family, input dimension and window size, batches that end
+    /// inside, at and past tile edges, and queries that share their first
+    /// `shared` coordinates, some of them whole duplicates of the first.
     #[test]
     fn batch_equals_pointwise(
         kind in kernel_kind(),
         dim in prop_oneof![Just(1usize), Just(7usize)],
+        shared in 0usize..=7,
         n in 1usize..40,
         m in 1usize..=3 * TILE + 1,
         xs in proptest::collection::vec(0.0f64..1.0, 39 * 7),
         q in proptest::collection::vec(0.0f64..1.0, (3 * TILE + 1) * 7),
+        dup in proptest::collection::vec(any::<bool>(), 3 * TILE + 1),
     ) {
+        let shared = shared % (dim + 1);
         let ls: Vec<f64> = (0..dim).map(|k| 0.3 + 0.1 * k as f64).collect();
         let mut gp = GaussianProcess::new(Kernel::new(kind, 2.0, ls), 1e-3);
         for (i, z) in xs.chunks(dim).take(n).enumerate() {
             gp.observe(z, (i as f64).sin()).unwrap();
         }
-        let q = &q[..m * dim];
-        let (bm, bs) = gp.predict_batch(q);
+        let mut q = q[..m * dim].to_vec();
+        for (j, &whole) in dup.iter().enumerate().take(m).skip(1) {
+            q.copy_within(..if whole { dim } else { shared }, j * dim);
+        }
+        let (bm, bs) = gp.predict_batch(&q);
         for (j, z) in q.chunks(dim).enumerate() {
             let (mu, s) = gp.predict(z);
             prop_assert_eq!(bm[j].to_bits(), mu.to_bits(), "mean of column {}", j);

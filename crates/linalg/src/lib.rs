@@ -7,7 +7,8 @@
 //! matrix right-hand sides, and log-determinants for marginal likelihoods.
 //!
 //! Everything here is written against plain `Vec<f64>` storage in row-major
-//! order, with no unsafe code and no external BLAS. The matrices involved in
+//! order, with no external BLAS and no unsafe code beyond the call into the
+//! AVX2 build of the tile solve ([`avx2_tiles`]). The matrices involved in
 //! EdgeBOL are modest (hundreds to a few thousand rows), so clarity and
 //! robustness are favoured over micro-optimization — in the spirit of the
 //! smoltcp design notes this workspace follows.
@@ -34,7 +35,9 @@ pub mod vecops;
 
 pub use cholesky::Cholesky;
 pub use matrix::Mat;
-pub use triangular::{solve_lower, solve_lower_mat, solve_lower_tile, solve_upper, TILE};
+pub use triangular::{
+    avx2_tiles, solve_lower, solve_lower_mat, solve_lower_tile, solve_upper, TILE,
+};
 
 /// Errors produced by the linear-algebra layer.
 #[derive(Debug, Clone, PartialEq)]

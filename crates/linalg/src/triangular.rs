@@ -46,10 +46,26 @@ pub fn solve_upper(l: &Mat, b: &[f64]) -> Vec<f64> {
 }
 
 /// Column width of a tile of right-hand sides ([`solve_lower_tile`]).
-/// Sixteen `f64` accumulators fill eight SSE2 registers, so a row's
-/// accumulators stay in registers across its whole `j` sweep; a tile of
-/// a 200-row factor (25 KB) stays in L1.
+/// Sixteen `f64` accumulators fill eight SSE2 registers (four AVX2 ones),
+/// so a row's accumulators stay in registers across its whole `j` sweep;
+/// a tile of a 200-row factor (25 KB) stays in L1.
 pub const TILE: usize = 16;
+
+/// Whether [`solve_lower_tile`] runs its AVX2 build on this host. True
+/// only when the CPU reports AVX2, which is what makes calling that build
+/// sound. Both builds compile the same source without FMA contraction, so
+/// they return the same bits; this only tells which one runs.
+#[inline]
+pub fn avx2_tiles() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        std::is_x86_feature_detected!("avx2")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
 
 /// Solves `L X = B` in place for one tile of `TILE` right-hand sides
 /// stored row-interleaved: `x[i][c]` is row `i` of column `c`.
@@ -59,13 +75,39 @@ pub const TILE: usize = 16;
 /// recurrence's operations in its order: ascending `j`, skipping exact
 /// zeros of `L`, then one division by the diagonal. A column therefore
 /// never reads another, and its result is bit for bit that of a solve on
-/// its own; a non-finite column poisons only itself.
+/// its own; a non-finite column poisons only itself. On hosts with AVX2
+/// ([`avx2_tiles`]) the same source runs at that width, which changes no
+/// bit: subtraction, multiplication and division round the same at any
+/// width, and without `fma` enabled nothing fuses them.
 ///
 /// # Panics
 /// Panics if `l` is not square or `x.len() != l.rows()`.
 pub fn solve_lower_tile(l: &Mat, x: &mut [[f64; TILE]]) {
     assert!(l.is_square(), "solve_lower_tile: matrix must be square");
     assert_eq!(x.len(), l.rows(), "solve_lower_tile: rhs rows mismatch");
+    #[cfg(target_arch = "x86_64")]
+    if avx2_tiles() {
+        // SAFETY: `avx2_tiles` returned true, so the CPU supports AVX2,
+        // the only feature `solve_lower_tile_avx2` enables.
+        return unsafe { solve_lower_tile_avx2(l, x) };
+    }
+    solve_lower_tile_portable(l, x)
+}
+
+/// [`solve_lower_tile`]'s body compiled for AVX2.
+///
+/// # Safety
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn solve_lower_tile_avx2(l: &Mat, x: &mut [[f64; TILE]]) {
+    solve_lower_tile_portable(l, x)
+}
+
+/// [`solve_lower_tile`]'s body; inlined into each build, so every build
+/// compiles this one source.
+#[inline(always)]
+fn solve_lower_tile_portable(l: &Mat, x: &mut [[f64; TILE]]) {
     for i in 0..x.len() {
         let lrow = l.row(i);
         let mut acc = x[i];
@@ -98,6 +140,12 @@ pub fn solve_lower_tile(l: &Mat, x: &mut [[f64; TILE]]) {
 pub fn solve_lower_mat(l: &Mat, b: &Mat) -> Mat {
     assert!(l.is_square(), "solve_lower_mat: matrix must be square");
     assert_eq!(b.rows(), l.rows(), "solve_lower_mat: rhs rows mismatch");
+    solve_lower_mat_by(l, b, solve_lower_tile)
+}
+
+/// [`solve_lower_mat`] with each tile solved by `solve_tile`, so the tests
+/// can run the portable body on any host.
+fn solve_lower_mat_by(l: &Mat, b: &Mat, solve_tile: fn(&Mat, &mut [[f64; TILE]])) -> Mat {
     let (n, m) = (b.rows(), b.cols());
     let mut x = Mat::zeros(n, m);
     let mut tile = vec![[0.0; TILE]; n];
@@ -107,7 +155,7 @@ pub fn solve_lower_mat(l: &Mat, b: &Mat) -> Mat {
             *t = [0.0; TILE];
             t[..w].copy_from_slice(&b.row(i)[c0..c0 + w]);
         }
-        solve_lower_tile(l, &mut tile);
+        solve_tile(l, &mut tile);
         for (i, t) in tile.iter().enumerate() {
             x.row_mut(i)[c0..c0 + w].copy_from_slice(&t[..w]);
         }
@@ -189,25 +237,33 @@ mod tests {
     }
 
     /// The tiled path agrees bit for bit with the scalar recurrence over
-    /// several full tiles and a partial last one.
+    /// several full tiles and a partial last one, through the dispatched
+    /// tile solve and through the portable body (the same one on a host
+    /// without AVX2).
     #[test]
     fn tiled_solve_matches_vector_solves_across_tiles() {
+        if !avx2_tiles() {
+            eprintln!("no AVX2 on this host: only the portable tile solve ran");
+        }
         let n = 83;
         let l = sparse_lower(n);
         let m = 3 * TILE + 5;
         let b = Mat::from_fn(n, m, |i, j| ((i + 2 * j) % 13) as f64 * 0.25 - 1.0);
-        let x = solve_lower_mat(&l, &b);
-        for col in 0..m {
-            let want = solve_lower(&l, &column(&b, col));
-            for r in 0..n {
-                assert_eq!(x[(r, col)].to_bits(), want[r].to_bits(), "bit mismatch at ({r},{col})");
+        for x in [solve_lower_mat(&l, &b), solve_lower_mat_by(&l, &b, solve_lower_tile_portable)] {
+            for col in 0..m {
+                let want = solve_lower(&l, &column(&b, col));
+                for r in 0..n {
+                    let (got, want) = (x[(r, col)].to_bits(), want[r].to_bits());
+                    assert_eq!(got, want, "bit mismatch at ({r},{col})");
+                }
             }
         }
     }
 
     /// A NaN or infinite right-hand side poisons only its own column:
     /// every other column of its tile, next to it or next to the zero
-    /// padding of a partial tile, solves exactly as it does alone.
+    /// padding of a partial tile, solves exactly as it does alone, through
+    /// the dispatched tile solve and through the portable body.
     #[test]
     fn non_finite_column_leaves_its_tile_neighbours_bit_identical() {
         let n = 41;
@@ -218,15 +274,16 @@ mod tests {
         for &(r, c, v) in &poisoned {
             b[(r, c)] = v;
         }
-        let x = solve_lower_mat(&l, &b);
-        for col in 0..m {
-            if let Some(&(r, _, _)) = poisoned.iter().find(|p| p.1 == col) {
-                assert!(!x[(r, col)].is_finite(), "column {col} lost its poison");
-                continue;
-            }
-            let want = solve_lower(&l, &column(&b, col));
-            for r in 0..n {
-                assert_eq!(x[(r, col)].to_bits(), want[r].to_bits(), "leak at ({r},{col})");
+        for x in [solve_lower_mat(&l, &b), solve_lower_mat_by(&l, &b, solve_lower_tile_portable)] {
+            for col in 0..m {
+                if let Some(&(r, _, _)) = poisoned.iter().find(|p| p.1 == col) {
+                    assert!(!x[(r, col)].is_finite(), "column {col} lost its poison");
+                    continue;
+                }
+                let want = solve_lower(&l, &column(&b, col));
+                for r in 0..n {
+                    assert_eq!(x[(r, col)].to_bits(), want[r].to_bits(), "leak at ({r},{col})");
+                }
             }
         }
     }
