@@ -146,8 +146,7 @@ fn bench_oran(c: &mut Criterion) {
     });
     c.bench_function("e2_codec_roundtrip", |b| {
         b.iter(|| {
-            let mut buf = bytes::BytesMut::new();
-            E2Codec::encode(black_box(&msg), &mut buf);
+            let mut buf = E2Codec::encode(black_box(&msg));
             E2Codec::decode(&mut buf).unwrap().unwrap()
         })
     });

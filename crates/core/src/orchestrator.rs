@@ -142,7 +142,7 @@ impl OrchestratorError {
     /// and for tests.
     pub fn is_recoverable(&self) -> bool {
         match self {
-            OrchestratorError::ControlPlane { source, .. } => !source.is_connection_lost(),
+            OrchestratorError::ControlPlane { source, .. } => source.is_recoverable(),
             OrchestratorError::CircuitOpen { .. } => false,
         }
     }
@@ -368,7 +368,7 @@ impl Orchestrator {
         metrics: Registry,
         transport: TransportKind,
     ) -> Result<Self, OrchestratorError> {
-        let plan = ChaosPlan::new_instrumented(chaos, metrics.clone());
+        let plan = ChaosPlan::new(chaos, metrics.clone());
         let (a1_up, a1_down, e2_up, e2_down) = match transport {
             TransportKind::Poll => {
                 let (a1_up, a1_down) = duplex_pair();
@@ -376,31 +376,13 @@ impl Orchestrator {
                 (a1_up.into(), a1_down.into(), e2_up.into(), e2_down.into())
             }
             TransportKind::Reactor => {
-                let r = at(
-                    "reactor setup",
-                    Reactor::new_instrumented(metrics.clone()).map_err(OranError::from),
-                )?;
+                let r =
+                    at("reactor setup", Reactor::new(metrics.clone()).map_err(OranError::from))?;
                 let (a1_up, a1_down) = at("reactor pair (A1)", r.pair().map_err(OranError::from))?;
                 let (e2_up, e2_down) = at("reactor pair (E2)", r.pair().map_err(OranError::from))?;
                 (a1_up.into(), a1_down.into(), e2_up.into(), e2_down.into())
             }
         };
-        Self::assemble(env, agent, spec, plan, metrics, transport, a1_up, a1_down, e2_up, e2_down)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn assemble(
-        env: Box<dyn Environment>,
-        agent: Box<dyn Agent>,
-        spec: ProblemSpec,
-        plan: ChaosPlan,
-        metrics: Registry,
-        transport: TransportKind,
-        a1_up: AnyLink,
-        a1_down: AnyLink,
-        e2_up: AnyLink,
-        e2_down: AnyLink,
-    ) -> Result<Self, OrchestratorError> {
         let enforced = Arc::new(Mutex::new(None));
         let applied_log = Arc::new(Mutex::new(Vec::new()));
         let period = Arc::new(AtomicUsize::new(0));
@@ -420,7 +402,7 @@ impl Orchestrator {
         let mut nearrt =
             NearRtRic::new(plan.wrap(a1_down, LinkId::A1), plan.wrap(e2_up, LinkId::E2));
         at("KPI subscribe (xApp->E2)", nearrt.subscribe_kpis(1_000))?;
-        let supervisor = Supervisor::new_instrumented(RecoveryPolicy::default(), &metrics);
+        let supervisor = Supervisor::new(RecoveryPolicy::default(), &metrics);
         let mut orch = Orchestrator {
             env,
             agent,
@@ -466,7 +448,7 @@ impl Orchestrator {
     /// watchdog off). Call before stepping: the fresh supervisor starts
     /// `Connected` at epoch 0.
     pub fn with_recovery(mut self, policy: RecoveryPolicy) -> Self {
-        self.supervisor = Supervisor::new_instrumented(policy, &self.metrics.registry);
+        self.supervisor = Supervisor::new(policy, &self.metrics.registry);
         if let Some(j) = &self.journal {
             self.supervisor.set_journal(j.clone());
         }
@@ -783,7 +765,7 @@ impl Orchestrator {
     ///
     /// # Errors
     /// [`OrchestratorError::ControlPlane`] when a hop reports a lost
-    /// connection ([`OranError::is_connection_lost`]).
+    /// connection (not [`OranError::is_recoverable`]).
     fn deploy_radio_policy(
         &mut self,
         control: &ControlInput,

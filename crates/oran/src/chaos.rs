@@ -52,7 +52,6 @@ use crate::a1::A1Message;
 use crate::e2::{tag, E2Codec};
 use crate::transport::{Endpoint, Link};
 use crate::OranError;
-use bytes::Bytes;
 use edgebol_metrics::{Counter, Registry};
 use edgebol_trace::{Journal, Layer};
 use rand::rngs::SmallRng;
@@ -603,9 +602,9 @@ fn splitmix(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Deterministic per-lane seed, domain-separated by link, direction and
-/// transport family so no lane's traffic shifts another lane's schedule.
-fn lane_seed(seed: u64, link: LinkId, dir: Direction, family: u64) -> u64 {
+/// Deterministic per-lane seed, domain-separated by link and direction
+/// so no lane's traffic shifts another lane's schedule.
+fn lane_seed(seed: u64, link: LinkId, dir: Direction) -> u64 {
     let link_tag = match link {
         LinkId::A1 => 0x0A1,
         LinkId::E2 => 0x0E2,
@@ -614,7 +613,7 @@ fn lane_seed(seed: u64, link: LinkId, dir: Direction, family: u64) -> u64 {
         Direction::Tx => 0x7,
         Direction::Rx => 0xB,
     };
-    splitmix(seed ^ (link_tag << 32) ^ (dir_tag << 48) ^ family)
+    splitmix(seed ^ (link_tag << 32) ^ (dir_tag << 48))
 }
 
 /// Mangles `payload` so it is guaranteed not to decode, preserving the
@@ -690,7 +689,7 @@ struct Lane {
     /// Rx — not frames; one recv call may consider several frames).
     op: u64,
     /// Held frames as `(release_at_op, frame)`, release-ordered.
-    held: VecDeque<(u64, Bytes)>,
+    held: VecDeque<(u64, Vec<u8>)>,
 }
 
 impl Lane {
@@ -728,7 +727,7 @@ impl Lane {
     }
 
     /// Pops the next held frame whose release op has arrived.
-    fn pop_due(&mut self) -> Option<Bytes> {
+    fn pop_due(&mut self) -> Option<Vec<u8>> {
         match self.held.front() {
             Some(&(release, _)) if release <= self.op => self.held.pop_front().map(|(_, f)| f),
             _ => None,
@@ -751,17 +750,12 @@ pub struct ChaosPlan {
 }
 
 impl ChaosPlan {
-    /// Builds a plan (disarmed) from a config, without metrics.
-    pub fn new(cfg: ChaosConfig) -> Self {
-        Self::new_instrumented(cfg, Registry::disabled())
-    }
-
     /// Builds a plan (disarmed) whose wrapped transports record traffic
     /// (`edgebol_oran_frames_total` / `_bytes_total` /
     /// `_redelivered_frames_total`) and whose ledger mirrors faults
-    /// (`edgebol_oran_faults_total{kind,link}`) into `metrics`. Passing
-    /// [`Registry::disabled`] is equivalent to [`ChaosPlan::new`].
-    pub fn new_instrumented(cfg: ChaosConfig, metrics: Registry) -> Self {
+    /// (`edgebol_oran_faults_total{kind,link}`) into `metrics`;
+    /// [`Registry::disabled`] records nothing.
+    pub fn new(cfg: ChaosConfig, metrics: Registry) -> Self {
         metrics
             .describe("edgebol_oran_frames_total", "Control-plane frames, by direction and link");
         metrics.describe("edgebol_oran_bytes_total", "Control-plane bytes, by direction and link");
@@ -824,12 +818,12 @@ impl ChaosPlan {
             tx: Mutex::new(Lane::new(
                 tx_cfg,
                 Direction::Tx,
-                lane_seed(self.cfg.seed, link, Direction::Tx, 0),
+                lane_seed(self.cfg.seed, link, Direction::Tx),
             )),
             rx: Mutex::new(Lane::new(
                 rx_cfg,
                 Direction::Rx,
-                lane_seed(self.cfg.seed, link, Direction::Rx, 0),
+                lane_seed(self.cfg.seed, link, Direction::Rx),
             )),
             // Handles resolved once here: per-frame recording must not
             // take the registry's registration lock.
@@ -944,68 +938,9 @@ impl<L: Link> ChaosEndpoint<L> {
         Ok(())
     }
 
-    /// Sends one frame through the fault pipeline.
-    ///
-    /// # Errors
-    /// [`OranError::ChannelClosed`] when the peer is gone or the chaos
-    /// schedule has cut the link.
-    pub fn send(&self, msg: Bytes) -> Result<(), OranError> {
-        self.m_tx_frames.inc();
-        self.m_tx_bytes.add(msg.len() as u64);
-        if !self.armed.load(Ordering::SeqCst) {
-            return self.inner.send(msg);
-        }
-        self.tick_cut(Direction::Tx)?;
-        let mut lane = self.tx.lock().unwrap_or_else(PoisonError::into_inner);
-        lane.op += 1;
-        // Delayed frames whose hold expired go out first (artifacts are
-        // never re-faulted).
-        while let Some(f) = lane.pop_due() {
-            self.inner.send(f)?;
-        }
-        match lane.decide() {
-            None | Some(FaultKind::Reorder) | Some(FaultKind::LinkCut) => self.inner.send(msg),
-            Some(FaultKind::Drop) => {
-                self.record(&lane, FaultKind::Drop, &msg, "frame dropped".into());
-                Ok(())
-            }
-            Some(FaultKind::Duplicate) => {
-                self.record(&lane, FaultKind::Duplicate, &msg, "frame sent twice".into());
-                self.inner.send(msg.clone())?;
-                self.inner.send(msg)
-            }
-            Some(FaultKind::CorruptBitFlip) | Some(FaultKind::CorruptTruncate) => {
-                let flip = lane.rng.random_bool(0.5);
-                let pos: u64 = lane.rng.random();
-                let (mangled, kind, detail) = corrupt_payload(self.link, &msg, flip, pos);
-                self.record(&lane, kind, &msg, detail);
-                self.inner.send(Bytes::from(mangled))
-            }
-            Some(FaultKind::Delay) => {
-                let release = lane.op + lane.cfg.delay_ops.max(1);
-                self.record(&lane, FaultKind::Delay, &msg, format!("held until op {release}"));
-                lane.held.push_back((release, msg));
-                Ok(())
-            }
-        }
-    }
-
-    /// Receives the next frame through the fault pipeline.
-    ///
-    /// # Errors
-    /// [`OranError::ChannelClosed`] when the peer is gone (and the queue
-    /// plus held frames are drained) or the chaos schedule has cut the
-    /// link.
-    pub fn try_recv(&self) -> Result<Option<Bytes>, OranError> {
-        let got = self.try_recv_impl()?;
-        if let Some(f) = &got {
-            self.m_rx_frames.inc();
-            self.m_rx_bytes.add(f.len() as u64);
-        }
-        Ok(got)
-    }
-
-    fn try_recv_impl(&self) -> Result<Option<Bytes>, OranError> {
+    /// The receive-side fault pipeline behind [`Link::try_recv`], which
+    /// counts what it delivers.
+    fn try_recv_impl(&self) -> Result<Option<Vec<u8>>, OranError> {
         if !self.armed.load(Ordering::SeqCst) {
             return self.inner.try_recv();
         }
@@ -1043,7 +978,7 @@ impl<L: Link> ChaosEndpoint<L> {
                     let pos: u64 = lane.rng.random();
                     let (mangled, kind, detail) = corrupt_payload(self.link, &msg, flip, pos);
                     self.record(&lane, kind, &msg, detail);
-                    return Ok(Some(Bytes::from(mangled)));
+                    return Ok(Some(mangled));
                 }
                 Some(FaultKind::Delay) => {
                     let release = lane.op + lane.cfg.delay_ops.max(1);
@@ -1072,24 +1007,68 @@ impl<L: Link> ChaosEndpoint<L> {
             }
         }
     }
-
-    /// Drains through the fault pipeline — [`Link::drain`] semantics.
-    ///
-    /// # Errors
-    /// [`OranError::ChannelClosed`] when the link is down and nothing was
-    /// pending.
-    pub fn drain(&self) -> Result<Vec<Bytes>, OranError> {
-        Link::drain(self)
-    }
 }
 
 impl<L: Link> Link for ChaosEndpoint<L> {
-    fn send(&self, msg: Bytes) -> Result<(), OranError> {
-        ChaosEndpoint::send(self, msg)
+    /// Sends one frame through the fault pipeline.
+    ///
+    /// # Errors
+    /// [`OranError::ChannelClosed`] when the peer is gone or the chaos
+    /// schedule has cut the link.
+    fn send(&self, msg: Vec<u8>) -> Result<(), OranError> {
+        self.m_tx_frames.inc();
+        self.m_tx_bytes.add(msg.len() as u64);
+        if !self.armed.load(Ordering::SeqCst) {
+            return self.inner.send(msg);
+        }
+        self.tick_cut(Direction::Tx)?;
+        let mut lane = self.tx.lock().unwrap_or_else(PoisonError::into_inner);
+        lane.op += 1;
+        // Delayed frames whose hold expired go out first (artifacts are
+        // never re-faulted).
+        while let Some(f) = lane.pop_due() {
+            self.inner.send(f)?;
+        }
+        match lane.decide() {
+            None | Some(FaultKind::Reorder) | Some(FaultKind::LinkCut) => self.inner.send(msg),
+            Some(FaultKind::Drop) => {
+                self.record(&lane, FaultKind::Drop, &msg, "frame dropped".into());
+                Ok(())
+            }
+            Some(FaultKind::Duplicate) => {
+                self.record(&lane, FaultKind::Duplicate, &msg, "frame sent twice".into());
+                self.inner.send(msg.clone())?;
+                self.inner.send(msg)
+            }
+            Some(FaultKind::CorruptBitFlip) | Some(FaultKind::CorruptTruncate) => {
+                let flip = lane.rng.random_bool(0.5);
+                let pos: u64 = lane.rng.random();
+                let (mangled, kind, detail) = corrupt_payload(self.link, &msg, flip, pos);
+                self.record(&lane, kind, &msg, detail);
+                self.inner.send(mangled)
+            }
+            Some(FaultKind::Delay) => {
+                let release = lane.op + lane.cfg.delay_ops.max(1);
+                self.record(&lane, FaultKind::Delay, &msg, format!("held until op {release}"));
+                lane.held.push_back((release, msg));
+                Ok(())
+            }
+        }
     }
 
-    fn try_recv(&self) -> Result<Option<Bytes>, OranError> {
-        ChaosEndpoint::try_recv(self)
+    /// Receives the next frame through the fault pipeline.
+    ///
+    /// # Errors
+    /// [`OranError::ChannelClosed`] when the peer is gone (and the queue
+    /// plus held frames are drained) or the chaos schedule has cut the
+    /// link.
+    fn try_recv(&self) -> Result<Option<Vec<u8>>, OranError> {
+        let got = self.try_recv_impl()?;
+        if let Some(f) = &got {
+            self.m_rx_frames.inc();
+            self.m_rx_bytes.add(f.len() as u64);
+        }
+        Ok(got)
     }
 }
 
@@ -1101,15 +1080,15 @@ mod tests {
     use crate::transport::duplex_pair;
 
     fn armed_pair(cfg: ChaosConfig) -> (Endpoint, ChaosEndpoint, ChaosPlan) {
-        let plan = ChaosPlan::new(cfg);
+        let plan = ChaosPlan::new(cfg, Registry::disabled());
         let (a, b) = duplex_pair();
         let wrapped = plan.wrap(b, LinkId::E2);
         plan.arm();
         (a, wrapped, plan)
     }
 
-    fn frame(i: u64) -> Bytes {
-        E2Codec::encode_to_bytes(&E2Message::Indication(KpiReport {
+    fn frame(i: u64) -> Vec<u8> {
+        E2Codec::encode(&E2Message::Indication(KpiReport {
             t_ms: i,
             bs_power_mw: 5_000 + i,
             duty_milli: 1,
@@ -1128,7 +1107,7 @@ mod tests {
         let fb =
             A1Message::Feedback { policy_id: PolicyId("p".into()), status: PolicyStatus::Enforced };
         assert_eq!(classify(LinkId::A1, fb.to_json().as_bytes()), MsgClass::A1Feedback);
-        let sub = E2Codec::encode_to_bytes(&E2Message::SubscriptionRequest {
+        let sub = E2Codec::encode(&E2Message::SubscriptionRequest {
             ran_function: RAN_FUNC_KPI,
             report_period_ms: 1000,
         });
@@ -1183,7 +1162,7 @@ mod tests {
             peer.send(frame(i)).unwrap();
         }
         let got = wrapped.drain().unwrap();
-        let want: Vec<Bytes> = [0u64, 0, 1, 1, 2, 2].iter().map(|&i| frame(i)).collect();
+        let want: Vec<Vec<u8>> = [0u64, 0, 1, 1, 2, 2].iter().map(|&i| frame(i)).collect();
         assert_eq!(got, want);
         assert_eq!(plan.ledger().count_kind(FaultKind::Duplicate), 3);
     }
@@ -1237,21 +1216,19 @@ mod tests {
 
     #[test]
     fn corrupted_e2_frames_always_fail_to_decode_and_stream_resyncs() {
-        use bytes::BytesMut;
         let msgs = [
-            E2Codec::encode_to_bytes(&E2Message::ControlAck),
-            E2Codec::encode_to_bytes(&E2Message::ControlRequest { airtime_milli: 500, max_mcs: 9 }),
+            E2Codec::encode(&E2Message::ControlAck),
+            E2Codec::encode(&E2Message::ControlRequest { airtime_milli: 500, max_mcs: 9 }),
             frame(7),
         ];
         for msg in &msgs {
             for flip in [true, false] {
                 for pos in [0u64, 1, 5, 17, 9999] {
                     let (mangled, kind, _) = corrupt_payload(LinkId::E2, msg, flip, pos);
-                    let mut buf = BytesMut::new();
-                    buf.extend_from_slice(&mangled);
+                    let mut buf = mangled;
                     // Append a good frame: the corruption must stay
                     // confined so the stream resynchronizes.
-                    E2Codec::encode(&E2Message::ControlAck, &mut buf);
+                    buf.extend(E2Codec::encode(&E2Message::ControlAck));
                     let first = E2Codec::decode(&mut buf);
                     assert!(
                         matches!(first, Err(OranError::Codec(_)) | Err(OranError::Framing(_))),
@@ -1280,7 +1257,7 @@ mod tests {
     #[test]
     fn link_cut_latches_once_and_fails_every_later_op() {
         let cfg = ChaosConfig::disabled().with_cut(LinkId::E2, 3);
-        let plan = ChaosPlan::new(cfg);
+        let plan = ChaosPlan::new(cfg, Registry::disabled());
         let (peer, b) = duplex_pair();
         let wrapped = plan.wrap(b, LinkId::E2);
         plan.arm();
@@ -1304,7 +1281,7 @@ mod tests {
     fn healing_cut_fails_inside_the_window_and_passes_after() {
         // Cut at op 2, heal 3 ops later: ops 0–1 pass, 2–4 fail, 5+ pass.
         let cfg = ChaosConfig::disabled().with_cut(LinkId::E2, 2).with_heal(3);
-        let plan = ChaosPlan::new(cfg);
+        let plan = ChaosPlan::new(cfg, Registry::disabled());
         let (peer, b) = duplex_pair();
         let wrapped = plan.wrap(b, LinkId::E2);
         plan.arm();
@@ -1330,7 +1307,7 @@ mod tests {
 
     #[test]
     fn unarmed_plan_injects_nothing() {
-        let plan = ChaosPlan::new(ChaosConfig::all_kinds(5, 1.0));
+        let plan = ChaosPlan::new(ChaosConfig::all_kinds(5, 1.0), Registry::disabled());
         let (peer, b) = duplex_pair();
         let wrapped = plan.wrap(b, LinkId::E2);
         // Not armed: even rate-1.0 lanes are transparent.

@@ -3,14 +3,13 @@
 //! E2 carries the near-RT RIC ⇄ O-eNB traffic: subscriptions, KPI
 //! indications and control requests. Real E2AP is ASN.1; we keep the
 //! protocol shape (message classes, RAN-function ids, subscription →
-//! indication flow) over a compact hand-rolled binary encoding built on
-//! [`bytes`], with incremental length-delimited framing — the canonical
-//! pattern for stream transports.
+//! indication flow) over a compact hand-rolled big-endian encoding on
+//! plain byte vectors, with incremental length-delimited framing — the
+//! canonical pattern for stream transports.
 //!
 //! Frame layout: `u32 big-endian payload length | u8 tag | payload`.
 
 use crate::OranError;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 /// RAN function id for the KPI-monitoring service model.
 pub const RAN_FUNC_KPI: u16 = 2;
@@ -55,63 +54,95 @@ pub(crate) mod tag {
     pub const CONTROL_ACK: u8 = 5;
 }
 
+/// Big-endian field reader over one complete frame body.
+struct Fields<'a>(&'a [u8]);
+
+impl Fields<'_> {
+    /// Checks that `n` more bytes remain, so the reads after it cannot
+    /// run off the body.
+    fn need(&self, n: usize) -> Result<(), OranError> {
+        if self.0.len() < n {
+            Err(OranError::Codec(format!("truncated body: need {n}, have {}", self.0.len())))
+        } else {
+            Ok(())
+        }
+    }
+
+    fn take<const N: usize>(&mut self) -> [u8; N] {
+        let (head, rest) = self.0.split_first_chunk::<N>().expect("length checked by need");
+        self.0 = rest;
+        *head
+    }
+
+    fn u8(&mut self) -> u8 {
+        u8::from_be_bytes(self.take())
+    }
+
+    fn u16(&mut self) -> u16 {
+        u16::from_be_bytes(self.take())
+    }
+
+    fn u32(&mut self) -> u32 {
+        u32::from_be_bytes(self.take())
+    }
+
+    fn u64(&mut self) -> u64 {
+        u64::from_be_bytes(self.take())
+    }
+}
+
 /// Stateless encoder/decoder with incremental framing.
 #[derive(Debug, Default, Clone)]
 pub struct E2Codec;
 
 impl E2Codec {
-    /// Encodes one message, appending a complete frame to `dst`.
-    pub fn encode(msg: &E2Message, dst: &mut BytesMut) {
-        let mut body = BytesMut::with_capacity(32);
+    /// Encodes one message as a complete frame.
+    pub fn encode(msg: &E2Message) -> Vec<u8> {
+        // Length placeholder, patched once the body is known.
+        let mut out = vec![0; 4];
         match msg {
             E2Message::SubscriptionRequest { ran_function, report_period_ms } => {
-                body.put_u8(tag::SUB_REQ);
-                body.put_u16(*ran_function);
-                body.put_u32(*report_period_ms);
+                out.push(tag::SUB_REQ);
+                out.extend_from_slice(&ran_function.to_be_bytes());
+                out.extend_from_slice(&report_period_ms.to_be_bytes());
             }
             E2Message::SubscriptionResponse { ran_function } => {
-                body.put_u8(tag::SUB_RESP);
-                body.put_u16(*ran_function);
+                out.push(tag::SUB_RESP);
+                out.extend_from_slice(&ran_function.to_be_bytes());
             }
             E2Message::Indication(k) => {
-                body.put_u8(tag::INDICATION);
-                body.put_u64(k.t_ms);
-                body.put_u64(k.bs_power_mw);
-                body.put_u16(k.duty_milli);
-                body.put_u16(k.mean_mcs_centi);
+                out.push(tag::INDICATION);
+                out.extend_from_slice(&k.t_ms.to_be_bytes());
+                out.extend_from_slice(&k.bs_power_mw.to_be_bytes());
+                out.extend_from_slice(&k.duty_milli.to_be_bytes());
+                out.extend_from_slice(&k.mean_mcs_centi.to_be_bytes());
             }
             E2Message::ControlRequest { airtime_milli, max_mcs } => {
-                body.put_u8(tag::CONTROL_REQ);
-                body.put_u16(*airtime_milli);
-                body.put_u8(*max_mcs);
+                out.push(tag::CONTROL_REQ);
+                out.extend_from_slice(&airtime_milli.to_be_bytes());
+                out.push(*max_mcs);
             }
-            E2Message::ControlAck => {
-                body.put_u8(tag::CONTROL_ACK);
-            }
+            E2Message::ControlAck => out.push(tag::CONTROL_ACK),
         }
-        dst.put_u32(body.len() as u32);
-        dst.extend_from_slice(&body);
-    }
-
-    /// Encodes to a standalone buffer.
-    pub fn encode_to_bytes(msg: &E2Message) -> Bytes {
-        let mut b = BytesMut::new();
-        Self::encode(msg, &mut b);
-        b.freeze()
+        let body_len = (out.len() - 4) as u32;
+        out[..4].copy_from_slice(&body_len.to_be_bytes());
+        out
     }
 
     /// Peeks the message tag of a standalone frame (as produced by
-    /// [`E2Codec::encode_to_bytes`]) without consuming it. `None` when
-    /// the buffer is too short to carry a tag. Used by the chaos layer to
-    /// classify frames it is about to drop, delay or corrupt.
+    /// [`E2Codec::encode`]) without consuming it. `None` when the buffer
+    /// is too short to carry a tag. Used by the chaos layer to classify
+    /// frames it is about to drop, delay or corrupt.
     pub fn peek_tag(frame: &[u8]) -> Option<u8> {
         frame.get(4).copied()
     }
 
-    /// Attempts to decode one complete frame from `src`.
+    /// Attempts to decode one complete frame from the front of `src`.
     ///
     /// Returns `Ok(None)` when more bytes are needed (the incremental
-    /// contract: partial frames stay buffered).
+    /// contract: partial frames stay buffered). A complete frame is
+    /// consumed whether or not it decodes, so the stream resyncs on the
+    /// next one.
     ///
     /// # Errors
     /// [`OranError::Framing`] when the declared length exceeds
@@ -119,60 +150,56 @@ impl E2Codec {
     /// complete — no real E2 message comes close); [`OranError::Codec`]
     /// on unknown tags or truncated payloads whose declared length is
     /// complete (a corrupt peer).
-    pub fn decode(src: &mut BytesMut) -> Result<Option<E2Message>, OranError> {
-        if src.len() < 4 {
+    pub fn decode(src: &mut Vec<u8>) -> Result<Option<E2Message>, OranError> {
+        let Some(&head) = src.first_chunk::<4>() else {
             return Ok(None);
-        }
-        let len = u32::from_be_bytes([src[0], src[1], src[2], src[3]]) as usize;
+        };
+        let len = u32::from_be_bytes(head) as usize;
         if len > crate::transport::MAX_FRAME_LEN {
             return Err(OranError::Framing(format!(
                 "declared E2 frame length {len} exceeds the {}-byte cap",
                 crate::transport::MAX_FRAME_LEN
             )));
         }
-        if src.len() < 4 + len {
+        let Some(body) = src.get(4..4 + len) else {
             return Ok(None);
-        }
-        src.advance(4);
-        let mut body = src.split_to(len);
-        let need = |body: &BytesMut, n: usize| -> Result<(), OranError> {
-            if body.len() < n {
-                Err(OranError::Codec(format!("truncated body: need {n}, have {}", body.len())))
-            } else {
-                Ok(())
-            }
         };
-        need(&body, 1)?;
-        let t = body.get_u8();
-        let msg = match t {
+        let msg = Self::parse(Fields(body));
+        src.drain(..4 + len);
+        msg.map(Some)
+    }
+
+    fn parse(mut body: Fields<'_>) -> Result<E2Message, OranError> {
+        body.need(1)?;
+        let msg = match body.u8() {
             tag::SUB_REQ => {
-                need(&body, 6)?;
+                body.need(6)?;
                 E2Message::SubscriptionRequest {
-                    ran_function: body.get_u16(),
-                    report_period_ms: body.get_u32(),
+                    ran_function: body.u16(),
+                    report_period_ms: body.u32(),
                 }
             }
             tag::SUB_RESP => {
-                need(&body, 2)?;
-                E2Message::SubscriptionResponse { ran_function: body.get_u16() }
+                body.need(2)?;
+                E2Message::SubscriptionResponse { ran_function: body.u16() }
             }
             tag::INDICATION => {
-                need(&body, 20)?;
+                body.need(20)?;
                 E2Message::Indication(KpiReport {
-                    t_ms: body.get_u64(),
-                    bs_power_mw: body.get_u64(),
-                    duty_milli: body.get_u16(),
-                    mean_mcs_centi: body.get_u16(),
+                    t_ms: body.u64(),
+                    bs_power_mw: body.u64(),
+                    duty_milli: body.u16(),
+                    mean_mcs_centi: body.u16(),
                 })
             }
             tag::CONTROL_REQ => {
-                need(&body, 3)?;
-                E2Message::ControlRequest { airtime_milli: body.get_u16(), max_mcs: body.get_u8() }
+                body.need(3)?;
+                E2Message::ControlRequest { airtime_milli: body.u16(), max_mcs: body.u8() }
             }
             tag::CONTROL_ACK => E2Message::ControlAck,
             other => return Err(OranError::Codec(format!("unknown tag {other}"))),
         };
-        Ok(Some(msg))
+        Ok(msg)
     }
 }
 
@@ -198,19 +225,40 @@ mod tests {
     #[test]
     fn roundtrip_every_variant() {
         for m in all_messages() {
-            let mut buf = BytesMut::new();
-            E2Codec::encode(&m, &mut buf);
+            let mut buf = E2Codec::encode(&m);
             let got = E2Codec::decode(&mut buf).unwrap().unwrap();
             assert_eq!(got, m);
             assert!(buf.is_empty(), "no residue after full decode");
         }
     }
 
+    /// Pins the wire layout itself: a change that encode and decode made
+    /// together would still roundtrip, but not match these frames.
+    #[test]
+    fn every_variant_matches_its_golden_frame() {
+        let golden: [&[u8]; 5] = [
+            &[0, 0, 0, 7, 0x01, 0, 2, 0, 0, 0x03, 0xe8],
+            &[0, 0, 0, 3, 0x02, 0, 2],
+            &[
+                0, 0, 0, 0x15, 0x03, 0, 0, 0, 0, 0, 0x01, 0xe2, 0x40, 0, 0, 0, 0, 0, 0, 0x14, 0x82,
+                0x01, 0x5e, 0x08, 0x66,
+            ],
+            &[0, 0, 0, 4, 0x04, 0x01, 0xf4, 0x11],
+            &[0, 0, 0, 1, 0x05],
+        ];
+        for (m, want) in all_messages().iter().zip(golden) {
+            assert_eq!(&E2Codec::encode(m)[..], want, "{m:?}");
+            let mut buf = want.to_vec();
+            assert_eq!(E2Codec::decode(&mut buf).unwrap().as_ref(), Some(m));
+            assert!(buf.is_empty(), "{m:?} left residue");
+        }
+    }
+
     #[test]
     fn multiple_frames_in_one_buffer() {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         for m in all_messages() {
-            E2Codec::encode(&m, &mut buf);
+            buf.extend(E2Codec::encode(&m));
         }
         let mut out = Vec::new();
         while let Some(m) = E2Codec::decode(&mut buf).unwrap() {
@@ -221,12 +269,11 @@ mod tests {
 
     #[test]
     fn partial_frames_wait_for_more_bytes() {
-        let mut full = BytesMut::new();
-        E2Codec::encode(&E2Message::ControlAck, &mut full);
+        let full = E2Codec::encode(&E2Message::ControlAck);
         // Feed byte by byte; only the last byte yields the message.
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         for (i, b) in full.iter().enumerate() {
-            buf.put_u8(*b);
+            buf.push(*b);
             let r = E2Codec::decode(&mut buf).unwrap();
             if i + 1 < full.len() {
                 assert!(r.is_none(), "premature decode at byte {i}");
@@ -238,27 +285,27 @@ mod tests {
 
     #[test]
     fn unknown_tag_is_an_error() {
-        let mut buf = BytesMut::new();
-        buf.put_u32(1);
-        buf.put_u8(0xFF);
-        assert!(matches!(E2Codec::decode(&mut buf), Err(OranError::Codec(_))));
+        let mut buf = vec![0, 0, 0, 1, 0xFF];
+        assert!(
+            matches!(E2Codec::decode(&mut buf), Err(OranError::Codec(m)) if m == "unknown tag 255")
+        );
+        assert!(buf.is_empty(), "the bad frame is consumed");
     }
 
     #[test]
     fn truncated_body_is_an_error() {
         // Declared length 2 but an indication needs 21 bytes of body.
-        let mut buf = BytesMut::new();
-        buf.put_u32(2);
-        buf.put_u8(super::tag::INDICATION);
-        buf.put_u8(0);
-        assert!(matches!(E2Codec::decode(&mut buf), Err(OranError::Codec(_))));
+        let mut buf = vec![0, 0, 0, 2, super::tag::INDICATION, 0];
+        assert!(matches!(
+            E2Codec::decode(&mut buf),
+            Err(OranError::Codec(m)) if m == "truncated body: need 20, have 1"
+        ));
     }
 
     #[test]
     fn oversized_declared_length_is_a_framing_error() {
-        let mut buf = BytesMut::new();
-        buf.put_u32(u32::MAX);
-        buf.put_u8(super::tag::SUB_REQ);
+        let mut buf = u32::MAX.to_be_bytes().to_vec();
+        buf.push(super::tag::SUB_REQ);
         assert!(matches!(E2Codec::decode(&mut buf), Err(OranError::Framing(_))));
     }
 
@@ -266,10 +313,10 @@ mod tests {
     fn decoder_resyncs_after_complete_frames() {
         // A good frame followed by a partial one: first decode succeeds,
         // second waits.
-        let mut buf = BytesMut::new();
-        E2Codec::encode(&E2Message::ControlAck, &mut buf);
-        buf.put_u32(10); // declared length of an incomplete next frame
-        buf.put_u8(super::tag::SUB_REQ);
+        let mut buf = E2Codec::encode(&E2Message::ControlAck);
+        // The declared length of an incomplete next frame.
+        buf.extend_from_slice(&10u32.to_be_bytes());
+        buf.push(super::tag::SUB_REQ);
         assert_eq!(E2Codec::decode(&mut buf).unwrap(), Some(E2Message::ControlAck));
         assert_eq!(E2Codec::decode(&mut buf).unwrap(), None);
     }

@@ -11,15 +11,17 @@
 //!   hand-rolled so encoding is panic-free, `u64` fields are exact and
 //!   `f64` fields round-trip bit-exactly (shortest-roundtrip encode,
 //!   full-precision parse).
-//! * [`e2`] — an E2AP-style binary codec over [`bytes`]: tagged,
-//!   length-delimited frames carrying subscriptions, KPI indications and
-//!   radio-control requests. Decoding is incremental: feed it a byte
-//!   stream, get complete messages out.
-//! * [`transport`] — duplex byte transports: an in-process pair backed by
-//!   a std mutex-guarded queue (used by the orchestrator and the tests)
-//!   and a length-framed TCP transport (used by the networked example)
-//!   that follows the classic framing pattern of the Tokio tutorial, in
-//!   blocking form.
+//! * [`e2`] — an E2AP-style binary codec on plain `Vec<u8>` frames:
+//!   tagged, length-delimited, big-endian frames carrying subscriptions,
+//!   KPI indications and radio-control requests. Decoding is
+//!   incremental: feed it a byte stream, get complete messages out.
+//! * [`transport`] — the [`transport::Link`] seam every actor talks
+//!   through (whole `Vec<u8>` messages, one implementation per
+//!   transport), its in-process implementation backed by a std
+//!   mutex-guarded queue (used by the orchestrator and the tests), and a
+//!   blocking length-framed TCP peer (used by the tests and the
+//!   networked example to drive the reactor from other threads) that
+//!   follows the classic framing pattern of the Tokio tutorial.
 //! * [`reactor`] — the fleet-scale transport: a zero-dependency
 //!   non-blocking readiness loop (epoll on Linux, a nonblocking sweep
 //!   elsewhere) multiplexing many framed-TCP sessions on one thread,
@@ -56,7 +58,7 @@ pub use reactor::{
 };
 pub use recovery::{CircuitState, FallbackMode, RecoveryAction, RecoveryPolicy, Supervisor};
 pub use ric::{E2Node, NearRtRic, NonRtRic, RicEvent, RicServer};
-pub use transport::{duplex_pair, AnyLink, Endpoint, ErrorStash, FramedTcp, Link, TransportKind};
+pub use transport::{duplex_pair, AnyLink, Endpoint, FramedTcp, Link, TransportKind};
 
 /// Errors of the O-RAN layer, split by protocol layer so callers can
 /// route recovery: framing and codec errors mean a corrupt peer (drop
@@ -128,12 +130,6 @@ impl OranError {
         }
     }
 
-    /// The complement of [`OranError::is_recoverable`]: the link itself
-    /// is unusable and no future traffic can cross it.
-    pub fn is_connection_lost(&self) -> bool {
-        !self.is_recoverable()
-    }
-
     /// Whether this error ends the current *session* — the established
     /// link + protocol state — as opposed to damaging one message on a
     /// healthy link.
@@ -197,7 +193,7 @@ mod tests {
     }
 
     #[test]
-    fn connection_lost_is_the_exact_complement() {
+    fn session_fatal_is_the_exact_complement_of_recoverable() {
         let all = [
             OranError::Framing(String::new()),
             OranError::Codec(String::new()),
@@ -206,13 +202,11 @@ mod tests {
             OranError::Io(std::io::Error::other("io")),
         ];
         for e in &all {
-            assert_ne!(e.is_recoverable(), e.is_connection_lost(), "{e}");
-            // On today's taxonomy the two axes coincide extensionally:
-            // every session-fatal error is also connection-lost. The
-            // distinction is in what callers do with it (give up within
-            // the session vs hand to the supervisor), so both names are
-            // kept and both matches stay exhaustive.
-            assert_eq!(e.is_session_fatal(), e.is_connection_lost(), "{e}");
+            // On today's taxonomy the two axes coincide extensionally.
+            // The distinction is in what callers do with an error (give
+            // up within the session vs hand it to the supervisor), so
+            // both names are kept and both matches stay exhaustive.
+            assert_ne!(e.is_session_fatal(), e.is_recoverable(), "{e}");
         }
     }
 }

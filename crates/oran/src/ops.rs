@@ -204,7 +204,7 @@ impl OpsServer {
     /// # Errors
     /// An [`io::Error`] from creating the reactor or binding.
     pub fn spawn(addr: &str, state: OpsState) -> io::Result<OpsServer> {
-        let reactor = Reactor::new()?;
+        let reactor = Reactor::new(Registry::disabled())?;
         let listener = serve_on(&reactor, addr, state)?;
         let local_addr = listener.local_addr();
         let stop = Arc::new(AtomicBool::new(false));

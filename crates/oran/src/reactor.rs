@@ -36,7 +36,6 @@
 
 use crate::transport::{Link, MAX_FRAME_LEN};
 use crate::OranError;
-use bytes::{Bytes, BytesMut};
 use edgebol_metrics::{Counter, Gauge, Registry};
 use std::collections::VecDeque;
 use std::fmt;
@@ -277,16 +276,16 @@ impl ClosedKind {
 /// [`ReactorLink`] handle (consumer).
 #[derive(Debug, Default)]
 struct Inbound {
-    q: Mutex<VecDeque<Bytes>>,
+    q: Mutex<VecDeque<Vec<u8>>>,
     closed: Mutex<Option<ClosedKind>>,
 }
 
 impl Inbound {
-    fn pop(&self) -> Option<Bytes> {
+    fn pop(&self) -> Option<Vec<u8>> {
         self.q.lock().unwrap_or_else(PoisonError::into_inner).pop_front()
     }
 
-    fn push(&self, frame: Bytes) {
+    fn push(&self, frame: Vec<u8>) {
         self.q.lock().unwrap_or_else(PoisonError::into_inner).push_back(frame);
     }
 
@@ -383,7 +382,7 @@ struct Conn {
     stream: TcpStream,
     /// Partial-frame reassembly buffer (bytes read, frames not yet
     /// complete).
-    rd: BytesMut,
+    rd: Vec<u8>,
     /// Framed bytes enqueued by the link but not yet written; `wr_pos`
     /// is the flush cursor (compacted when it catches up).
     wr: Vec<u8>,
@@ -603,7 +602,7 @@ fn write_http_response(
 /// queues a final response and marks the connection for reaping once
 /// the write buffer drains.
 fn service_http(
-    rd: &mut BytesMut,
+    rd: &mut Vec<u8>,
     wr: &mut Vec<u8>,
     read_closed: &mut bool,
     http: &mut HttpConnState,
@@ -635,7 +634,7 @@ fn service_http(
                 return;
             }
             HttpParse::Request { method, path, query, close, has_body, head_len } => {
-                let _ = rd.split_to(head_len);
+                rd.drain(..head_len);
                 requests.inc();
                 if has_body {
                     write_http_response(
@@ -720,7 +719,7 @@ impl Core {
         let inbound = Arc::new(Inbound::default());
         let conn = Conn {
             stream,
-            rd: BytesMut::new(),
+            rd: Vec::new(),
             wr: Vec::new(),
             wr_pos: 0,
             inbound,
@@ -877,12 +876,11 @@ impl Core {
         // Frame reassembly: the same `u32 BE length | payload` framing
         // as FramedTcp, decoded incrementally — a length prefix or
         // payload split across reads (or WouldBlock boundaries) stays
-        // buffered until its bytes arrive.
-        loop {
-            if conn.rd.len() < 4 {
-                break;
-            }
-            let len = u32::from_be_bytes([conn.rd[0], conn.rd[1], conn.rd[2], conn.rd[3]]) as usize;
+        // buffered until its bytes arrive. Each payload is copied out
+        // once; the consumed prefix is dropped after the scan.
+        let mut at = 0;
+        while let Some(&head) = conn.rd[at..].first_chunk::<4>() {
+            let len = u32::from_be_bytes(head) as usize;
             if len > MAX_FRAME_LEN {
                 conn.read_closed = true;
                 conn.inbound.close(ClosedKind::Framing(format!(
@@ -890,15 +888,13 @@ impl Core {
                 )));
                 break;
             }
-            if conn.rd.len() < 4 + len {
-                break;
-            }
-            let mut frame = conn.rd.split_to(4 + len);
-            let _prefix = frame.split_to(4);
+            let Some(payload) = conn.rd.get(at + 4..at + 4 + len) else { break };
+            conn.inbound.push(payload.to_vec());
+            at += 4 + len;
             conn.frames_delivered += 1;
             m_frames_rx.inc();
-            conn.inbound.push(frame.freeze());
         }
+        conn.rd.drain(..at);
         m_bytes_rx.add(total as u64);
         total
     }
@@ -1062,22 +1058,15 @@ pub struct Reactor {
 
 impl Reactor {
     /// Creates a reactor on the platform-default backend (see
-    /// [`ReactorBackend::from_env`]).
-    ///
-    /// # Errors
-    /// An [`io::Error`] when the readiness source cannot be created.
-    pub fn new() -> io::Result<Self> {
-        Self::new_instrumented(Registry::disabled())
-    }
-
-    /// [`Reactor::new`] recording traffic into `metrics`:
+    /// [`ReactorBackend::from_env`]) recording traffic into `metrics`:
     /// `edgebol_oran_reactor_turns_total`, `_frames_total{dir}`,
     /// `_bytes_total{dir}`, `_accepts_total` and the
-    /// `edgebol_oran_reactor_sessions` gauge.
+    /// `edgebol_oran_reactor_sessions` gauge; [`Registry::disabled`]
+    /// records nothing.
     ///
     /// # Errors
     /// An [`io::Error`] when the readiness source cannot be created.
-    pub fn new_instrumented(metrics: Registry) -> io::Result<Self> {
+    pub fn new(metrics: Registry) -> io::Result<Self> {
         Self::build(ReactorBackend::from_env(), metrics)
     }
 
@@ -1250,14 +1239,16 @@ impl ReactorLink {
     fn lock(&self) -> MutexGuard<'_, Core> {
         self.core.lock().unwrap_or_else(PoisonError::into_inner)
     }
+}
 
+impl Link for ReactorLink {
     /// Sends one frame (nonblocking: unsent bytes stay buffered).
     ///
     /// # Errors
     /// [`OranError::Framing`] for payloads beyond
     /// [`MAX_FRAME_LEN`]; [`OranError::ChannelClosed`] when the
     /// connection is gone or the peer hung up.
-    pub fn send(&self, msg: Bytes) -> Result<(), OranError> {
+    fn send(&self, msg: Vec<u8>) -> Result<(), OranError> {
         if msg.len() > MAX_FRAME_LEN {
             return Err(OranError::Framing(format!(
                 "frame of {} bytes exceeds the {MAX_FRAME_LEN}-byte cap",
@@ -1293,7 +1284,7 @@ impl ReactorLink {
     /// [`OranError::ChannelClosed`] when the stream ended and the queue
     /// is drained; [`OranError::Framing`]/[`OranError::Io`] reproduce
     /// the terminal stream error on every later call.
-    pub fn try_recv(&self) -> Result<Option<Bytes>, OranError> {
+    fn try_recv(&self) -> Result<Option<Vec<u8>>, OranError> {
         if let Some(m) = self.inbound.pop() {
             return Ok(Some(m));
         }
@@ -1305,25 +1296,6 @@ impl ReactorLink {
             Some(e) => Err(e),
             None => Ok(None),
         }
-    }
-
-    /// Drains all pending frames — [`Link::drain`] semantics.
-    ///
-    /// # Errors
-    /// [`OranError::ChannelClosed`] when the link is down and nothing
-    /// was pending.
-    pub fn drain(&self) -> Result<Vec<Bytes>, OranError> {
-        Link::drain(self)
-    }
-}
-
-impl Link for ReactorLink {
-    fn send(&self, msg: Bytes) -> Result<(), OranError> {
-        ReactorLink::send(self, msg)
-    }
-
-    fn try_recv(&self) -> Result<Option<Bytes>, OranError> {
-        ReactorLink::try_recv(self)
     }
 }
 
@@ -1349,24 +1321,24 @@ mod tests {
     fn pair_roundtrip_on_every_backend() {
         for r in reactors() {
             let (a, b) = r.pair().expect("pair");
-            a.send(Bytes::from_static(b"one")).unwrap();
-            a.send(Bytes::from_static(b"two")).unwrap();
-            assert_eq!(b.try_recv().unwrap().unwrap(), Bytes::from_static(b"one"));
-            assert_eq!(b.try_recv().unwrap().unwrap(), Bytes::from_static(b"two"));
+            a.send(b"one".to_vec()).unwrap();
+            a.send(b"two".to_vec()).unwrap();
+            assert_eq!(b.try_recv().unwrap().unwrap(), b"one".to_vec());
+            assert_eq!(b.try_recv().unwrap().unwrap(), b"two".to_vec());
             assert!(b.try_recv().unwrap().is_none());
-            b.send(Bytes::from_static(b"pong")).unwrap();
-            assert_eq!(a.try_recv().unwrap().unwrap(), Bytes::from_static(b"pong"));
+            b.send(b"pong".to_vec()).unwrap();
+            assert_eq!(a.try_recv().unwrap().unwrap(), b"pong".to_vec());
         }
     }
 
     #[test]
     fn empty_and_large_frames_cross_the_pair() {
-        let r = Reactor::new().unwrap();
+        let r = Reactor::new(Registry::disabled()).unwrap();
         let (a, b) = r.pair().unwrap();
-        a.send(Bytes::new()).unwrap();
-        let big = Bytes::from(vec![0xAB; 300_000]);
+        a.send(Vec::new()).unwrap();
+        let big = vec![0xAB; 300_000];
         a.send(big.clone()).unwrap();
-        assert_eq!(b.try_recv().unwrap().unwrap(), Bytes::new());
+        assert_eq!(b.try_recv().unwrap().unwrap(), Vec::<u8>::new());
         assert_eq!(b.try_recv().unwrap().unwrap(), big);
     }
 
@@ -1374,10 +1346,10 @@ mod tests {
     fn quiescent_try_recv_never_misses_a_sent_frame() {
         // The bit-identity property in miniature: a frame sent before
         // try_recv is always visible to it, with no sleeps in between.
-        let r = Reactor::new().unwrap();
+        let r = Reactor::new(Registry::disabled()).unwrap();
         let (a, b) = r.pair().unwrap();
         for i in 0..200u32 {
-            a.send(Bytes::from(i.to_be_bytes().to_vec())).unwrap();
+            a.send(i.to_be_bytes().to_vec()).unwrap();
             let got = b.try_recv().unwrap().expect("sent frame must be visible");
             assert_eq!(&got[..], i.to_be_bytes());
         }
@@ -1385,23 +1357,23 @@ mod tests {
 
     #[test]
     fn dropped_peer_drains_then_reports_closed() {
-        let r = Reactor::new().unwrap();
+        let r = Reactor::new(Registry::disabled()).unwrap();
         let (a, b) = r.pair().unwrap();
-        a.send(Bytes::from_static(b"last words")).unwrap();
+        a.send(b"last words".to_vec()).unwrap();
         drop(a);
-        assert_eq!(b.try_recv().unwrap().unwrap(), Bytes::from_static(b"last words"));
+        assert_eq!(b.try_recv().unwrap().unwrap(), b"last words".to_vec());
         for _ in 0..3 {
             assert!(matches!(b.try_recv(), Err(OranError::ChannelClosed(_))));
         }
         // And sending toward the dead peer fails like an Endpoint's.
-        assert!(matches!(b.send(Bytes::from_static(b"x")), Err(OranError::ChannelClosed(_))));
+        assert!(matches!(b.send(b"x".to_vec()), Err(OranError::ChannelClosed(_))));
     }
 
     #[test]
     fn oversized_send_is_a_framing_error() {
-        let r = Reactor::new().unwrap();
+        let r = Reactor::new(Registry::disabled()).unwrap();
         let (a, _b) = r.pair().unwrap();
-        let huge = Bytes::from(vec![0u8; MAX_FRAME_LEN + 1]);
+        let huge = vec![0u8; MAX_FRAME_LEN + 1];
         assert!(matches!(a.send(huge), Err(OranError::Framing(_))));
     }
 
@@ -1409,7 +1381,7 @@ mod tests {
     fn oversized_declared_length_kills_the_stream_with_framing() {
         // A hostile peer writing an impossible prefix: the link surfaces
         // Framing, and keeps surfacing it (persistent terminal error).
-        let r = Reactor::new().unwrap();
+        let r = Reactor::new(Registry::disabled()).unwrap();
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let raw = TcpStream::connect(addr).unwrap();
@@ -1440,7 +1412,7 @@ mod tests {
 
     #[test]
     fn listener_accepts_through_turns() {
-        let r = Reactor::new().unwrap();
+        let r = Reactor::new(Registry::disabled()).unwrap();
         let listener = r.bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr();
         let mut client = TcpStream::connect(addr).unwrap();
@@ -1475,7 +1447,7 @@ mod tests {
         // Satellite contract: a length prefix and payload split across
         // many writes — with try_recv (and thus WouldBlock) observed
         // between every chunk — reassemble without loss.
-        let r = Reactor::new().unwrap();
+        let r = Reactor::new(Registry::disabled()).unwrap();
         let listener = r.bind("127.0.0.1:0").unwrap();
         let mut client = TcpStream::connect(listener.local_addr()).unwrap();
         let deadline = Instant::now() + Duration::from_secs(5);
@@ -1530,24 +1502,24 @@ mod tests {
 
     #[test]
     fn token_slots_are_recycled() {
-        let r = Reactor::new().unwrap();
+        let r = Reactor::new(Registry::disabled()).unwrap();
         let (a, b) = r.pair().unwrap();
         drop(a);
         drop(b);
         assert_eq!(r.connections(), 0);
         let (c, d) = r.pair().unwrap();
-        c.send(Bytes::from_static(b"reused")).unwrap();
-        assert_eq!(d.try_recv().unwrap().unwrap(), Bytes::from_static(b"reused"));
+        c.send(b"reused".to_vec()).unwrap();
+        assert_eq!(d.try_recv().unwrap().unwrap(), b"reused".to_vec());
         assert_eq!(r.connections(), 2);
     }
 
     #[test]
     fn links_move_across_threads() {
-        let r = Reactor::new().unwrap();
+        let r = Reactor::new(Registry::disabled()).unwrap();
         let (a, b) = r.pair().unwrap();
         let t = std::thread::spawn(move || {
             for i in 0..50u8 {
-                a.send(Bytes::copy_from_slice(&[i])).unwrap();
+                a.send(vec![i]).unwrap();
             }
         });
         t.join().unwrap();

@@ -34,8 +34,8 @@
 //! plane and keeps the resync protocol (re-handshake, re-subscribe,
 //! re-push) where the actors live.
 //!
-//! When built with [`Supervisor::new_instrumented`], transitions are
-//! mirrored into `edgebol_metrics`:
+//! Transitions are mirrored into the registry given to
+//! [`Supervisor::new`]:
 //! `edgebol_oran_reconnects_total{link,outcome}`, the
 //! `edgebol_oran_backoff_periods` histogram, the
 //! `edgebol_oran_circuit_state` gauge (0 = connected, 1 = backoff,
@@ -237,14 +237,10 @@ pub struct Supervisor {
 const BACKOFF_BOUNDS: &[f64] = &[1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0];
 
 impl Supervisor {
-    /// A supervisor without metrics.
-    pub fn new(policy: RecoveryPolicy) -> Self {
-        Self::new_instrumented(policy, &Registry::disabled())
-    }
-
     /// A supervisor mirroring transitions into `metrics` (see the module
-    /// docs for the series it records).
-    pub fn new_instrumented(policy: RecoveryPolicy, metrics: &Registry) -> Self {
+    /// docs for the series it records); [`Registry::disabled`] records
+    /// nothing.
+    pub fn new(policy: RecoveryPolicy, metrics: &Registry) -> Self {
         metrics.describe(
             "edgebol_oran_reconnects_total",
             "Reconnect attempts, by lost link and outcome",
@@ -585,12 +581,12 @@ mod tests {
 
     #[test]
     fn export_import_resumes_mid_outage() {
-        let mut live = Supervisor::new(RecoveryPolicy::default());
+        let mut live = Supervisor::new(RecoveryPolicy::default(), &Registry::disabled());
         live.on_connection_lost(LinkId::E2, 10);
         assert_eq!(live.poll(11), RecoveryAction::Probe { attempt: 0, half_open: false });
         live.on_resync_failed(11);
         let snapshot = live.export_state();
-        let mut restored = Supervisor::new(RecoveryPolicy::default());
+        let mut restored = Supervisor::new(RecoveryPolicy::default(), &Registry::disabled());
         restored.import_state(&snapshot).unwrap();
         assert_eq!(restored.state(), live.state());
         assert_eq!(restored.reconnects_failed(), 1);
@@ -608,7 +604,7 @@ mod tests {
 
     #[test]
     fn happy_path_stays_connected() {
-        let mut s = Supervisor::new(RecoveryPolicy::default());
+        let mut s = Supervisor::new(RecoveryPolicy::default(), &Registry::disabled());
         for t in 0..100 {
             assert_eq!(s.poll(t), RecoveryAction::Proceed);
         }
@@ -618,7 +614,7 @@ mod tests {
 
     #[test]
     fn loss_probes_on_the_deterministic_backoff_schedule() {
-        let mut s = Supervisor::new(RecoveryPolicy::default());
+        let mut s = Supervisor::new(RecoveryPolicy::default(), &Registry::disabled());
         s.on_connection_lost(LinkId::E2, 10);
         // Attempt k runs at 10 + sum of backoffs: 11, 13, 17, 25, ...
         let mut expected_probe_at = vec![];
@@ -643,7 +639,7 @@ mod tests {
 
     #[test]
     fn successful_resync_closes_the_circuit_and_bumps_the_epoch() {
-        let mut s = Supervisor::new(RecoveryPolicy::default());
+        let mut s = Supervisor::new(RecoveryPolicy::default(), &Registry::disabled());
         s.on_connection_lost(LinkId::A1, 5);
         assert_eq!(s.poll(5), RecoveryAction::Wait);
         assert_eq!(s.poll(6), RecoveryAction::Probe { attempt: 0, half_open: false });
@@ -660,7 +656,7 @@ mod tests {
     #[test]
     fn exhausted_budget_opens_the_circuit_with_half_open_probes() {
         let policy = RecoveryPolicy { max_retries: 2, probe_every: 5, ..RecoveryPolicy::default() };
-        let mut s = Supervisor::new(policy);
+        let mut s = Supervisor::new(policy, &Registry::disabled());
         s.on_connection_lost(LinkId::E2, 0);
         assert_eq!(s.poll(1), RecoveryAction::Probe { attempt: 0, half_open: false });
         s.on_resync_failed(1);
@@ -687,7 +683,7 @@ mod tests {
             fallback: FallbackMode::Off,
             ..RecoveryPolicy::default()
         };
-        let mut s = Supervisor::new(policy);
+        let mut s = Supervisor::new(policy, &Registry::disabled());
         s.on_connection_lost(LinkId::E2, 0);
         assert_eq!(s.poll(1), RecoveryAction::Probe { attempt: 0, half_open: false });
         s.on_resync_failed(1);
@@ -699,7 +695,7 @@ mod tests {
     #[test]
     fn watchdog_trips_after_n_silent_periods_and_resets_on_fresh() {
         let policy = RecoveryPolicy { watchdog_periods: 3, ..RecoveryPolicy::default() };
-        let mut s = Supervisor::new(policy);
+        let mut s = Supervisor::new(policy, &Registry::disabled());
         assert!(!s.note_kpi_silent(0));
         assert!(!s.note_kpi_silent(1));
         s.note_kpi_fresh(); // streak broken
@@ -716,7 +712,7 @@ mod tests {
 
     #[test]
     fn watchdog_disabled_by_default() {
-        let mut s = Supervisor::new(RecoveryPolicy::default());
+        let mut s = Supervisor::new(RecoveryPolicy::default(), &Registry::disabled());
         for t in 0..1000 {
             assert!(!s.note_kpi_silent(t));
         }
@@ -734,7 +730,7 @@ mod tests {
     #[test]
     fn metrics_mirror_the_transitions() {
         let reg = Registry::new();
-        let mut s = Supervisor::new_instrumented(
+        let mut s = Supervisor::new(
             RecoveryPolicy { max_retries: 1, probe_every: 2, ..RecoveryPolicy::default() },
             &reg,
         );

@@ -11,7 +11,6 @@ use crate::e2::{E2Codec, E2Message, KpiReport, RAN_FUNC_KPI};
 use crate::reactor::{Reactor, ReactorLink, ReactorListener};
 use crate::transport::{Endpoint, Link};
 use crate::OranError;
-use bytes::{Bytes, BytesMut};
 use edgebol_metrics::{Counter, Gauge, Registry};
 use std::collections::HashMap;
 
@@ -58,7 +57,7 @@ impl<L: Link> NonRtRic<L> {
             policy_type: crate::a1::A1_POLICY_TYPE_RADIO,
             policy,
         };
-        self.a1.send(Bytes::from(msg.to_json()))?;
+        self.a1.send(msg.to_json().into_bytes())?;
         self.pending.insert(id.clone(), policy);
         Ok(id)
     }
@@ -126,7 +125,7 @@ impl<L: Link> NonRtRic<L> {
 pub struct NearRtRic<A: Link = Endpoint, E: Link = Endpoint> {
     a1: A,
     e2: E,
-    e2_rx_buf: BytesMut,
+    e2_rx_buf: Vec<u8>,
     /// Policy awaiting a `ControlAck` from the node.
     awaiting_ack: Option<PolicyId>,
 }
@@ -134,7 +133,7 @@ pub struct NearRtRic<A: Link = Endpoint, E: Link = Endpoint> {
 impl<A: Link, E: Link> NearRtRic<A, E> {
     /// Creates the xApp pair over its two endpoints.
     pub fn new(a1: A, e2: E) -> Self {
-        NearRtRic { a1, e2, e2_rx_buf: BytesMut::new(), awaiting_ack: None }
+        NearRtRic { a1, e2, e2_rx_buf: Vec::new(), awaiting_ack: None }
     }
 
     /// Subscribes to the node's KPI stream (done once at start-up).
@@ -146,7 +145,7 @@ impl<A: Link, E: Link> NearRtRic<A, E> {
             ran_function: RAN_FUNC_KPI,
             report_period_ms: period_ms,
         };
-        self.e2.send(E2Codec::encode_to_bytes(&msg))
+        self.e2.send(E2Codec::encode(&msg))
     }
 
     /// Resync step after a session loss: drains and discards stale
@@ -200,19 +199,19 @@ impl<A: Link, E: Link> NearRtRic<A, E> {
                 A1Message::PutPolicy { policy_id, policy, .. } => {
                     if !policy.is_valid() {
                         let fb = A1Message::Feedback { policy_id, status: PolicyStatus::Rejected };
-                        self.a1.send(Bytes::from(fb.to_json()))?;
+                        self.a1.send(fb.to_json().into_bytes())?;
                         continue;
                     }
                     let ctrl = E2Message::ControlRequest {
                         airtime_milli: (policy.airtime * 1000.0).round() as u16,
                         max_mcs: policy.max_mcs,
                     };
-                    self.e2.send(E2Codec::encode_to_bytes(&ctrl))?;
+                    self.e2.send(E2Codec::encode(&ctrl))?;
                     self.awaiting_ack = Some(policy_id);
                 }
                 A1Message::DeletePolicy { policy_id } => {
                     let fb = A1Message::Feedback { policy_id, status: PolicyStatus::Deleted };
-                    self.a1.send(Bytes::from(fb.to_json()))?;
+                    self.a1.send(fb.to_json().into_bytes())?;
                 }
                 other => {
                     return Err(OranError::Handshake(format!(
@@ -230,12 +229,12 @@ impl<A: Link, E: Link> NearRtRic<A, E> {
                 E2Message::ControlAck => {
                     if let Some(policy_id) = self.awaiting_ack.take() {
                         let fb = A1Message::Feedback { policy_id, status: PolicyStatus::Enforced };
-                        self.a1.send(Bytes::from(fb.to_json()))?;
+                        self.a1.send(fb.to_json().into_bytes())?;
                     }
                 }
                 E2Message::Indication(k) => {
                     let up = A1Message::KpiSample { t_ms: k.t_ms, bs_power_mw: k.bs_power_mw };
-                    self.a1.send(Bytes::from(up.to_json()))?;
+                    self.a1.send(up.to_json().into_bytes())?;
                 }
                 E2Message::SubscriptionResponse { .. } => {}
                 other => {
@@ -254,7 +253,7 @@ impl<A: Link, E: Link> NearRtRic<A, E> {
 /// indications when asked.
 pub struct E2Node<L: Link = Endpoint> {
     e2: L,
-    rx_buf: BytesMut,
+    rx_buf: Vec<u8>,
     /// Applied radio policy hook.
     apply: Box<dyn FnMut(RadioPolicy) + Send>,
     /// Whether a KPI subscription is active.
@@ -270,7 +269,7 @@ impl<L: Link> std::fmt::Debug for E2Node<L> {
 impl<L: Link> E2Node<L> {
     /// Creates the agent with a policy-application hook.
     pub fn new(e2: L, apply: Box<dyn FnMut(RadioPolicy) + Send>) -> Self {
-        E2Node { e2, rx_buf: BytesMut::new(), apply, subscribed: false }
+        E2Node { e2, rx_buf: Vec::new(), apply, subscribed: false }
     }
 
     /// Whether a KPI subscription is active.
@@ -308,11 +307,11 @@ impl<L: Link> E2Node<L> {
                 E2Message::SubscriptionRequest { ran_function, .. } => {
                     self.subscribed = true;
                     let resp = E2Message::SubscriptionResponse { ran_function };
-                    self.e2.send(E2Codec::encode_to_bytes(&resp))?;
+                    self.e2.send(E2Codec::encode(&resp))?;
                 }
                 E2Message::ControlRequest { airtime_milli, max_mcs } => {
                     (self.apply)(RadioPolicy { airtime: airtime_milli as f64 / 1000.0, max_mcs });
-                    self.e2.send(E2Codec::encode_to_bytes(&E2Message::ControlAck))?;
+                    self.e2.send(E2Codec::encode(&E2Message::ControlAck))?;
                 }
                 other => {
                     return Err(OranError::Handshake(format!(
@@ -333,7 +332,7 @@ impl<L: Link> E2Node<L> {
         if !self.subscribed {
             return Ok(()); // No subscriber; the sample is dropped.
         }
-        self.e2.send(E2Codec::encode_to_bytes(&E2Message::Indication(kpi)))
+        self.e2.send(E2Codec::encode(&E2Message::Indication(kpi)))
     }
 }
 
@@ -344,7 +343,7 @@ impl<L: Link> E2Node<L> {
 struct E2Session {
     id: u64,
     link: ReactorLink,
-    rx_buf: BytesMut,
+    rx_buf: Vec<u8>,
     subscribed: bool,
 }
 
@@ -393,7 +392,7 @@ impl RicServer {
     /// # Errors
     /// [`OranError::Io`] when binding or reactor setup fails.
     pub fn bind(addr: &str, kpi_period_ms: u32, metrics: Registry) -> Result<Self, OranError> {
-        let reactor = Reactor::new_instrumented(metrics.clone())?;
+        let reactor = Reactor::new(metrics.clone())?;
         let listener = reactor.bind(addr)?;
         metrics.describe("edgebol_oran_ricserver_periods_total", "RicServer poll calls");
         metrics.describe("edgebol_oran_ricserver_kpi_total", "KPI reports received from E2 nodes");
@@ -465,15 +464,10 @@ impl RicServer {
                 ran_function: RAN_FUNC_KPI,
                 report_period_ms: self.kpi_period_ms,
             };
-            if link.send(E2Codec::encode_to_bytes(&sub)).is_ok() {
+            if link.send(E2Codec::encode(&sub)).is_ok() {
                 let id = self.next_session_id;
                 self.next_session_id += 1;
-                self.sessions.push(E2Session {
-                    id,
-                    link,
-                    rx_buf: BytesMut::new(),
-                    subscribed: false,
-                });
+                self.sessions.push(E2Session { id, link, rx_buf: Vec::new(), subscribed: false });
                 round.accepted += 1;
             }
         }
@@ -528,7 +522,7 @@ impl RicServer {
             airtime_milli: (policy.airtime * 1000.0).round() as u16,
             max_mcs: policy.max_mcs,
         };
-        let frame = E2Codec::encode_to_bytes(&ctrl);
+        let frame = E2Codec::encode(&ctrl);
         self.sessions.iter().filter(|s| s.link.send(frame.clone()).is_ok()).count()
     }
 
@@ -622,7 +616,7 @@ mod tests {
         let p = RadioPolicy { airtime: 0.5, max_mcs: 10 };
         let id = nonrt.put_policy(p).unwrap();
         let msg = A1Message::DeletePolicy { policy_id: id.clone() };
-        nonrt.a1.send(Bytes::from(msg.to_json())).unwrap();
+        nonrt.a1.send(msg.to_json().into_bytes()).unwrap();
         nearrt.poll().unwrap();
         // Two A1 messages pending at non-RT: none for the put (no ack yet,
         // node never polled) and one Deleted feedback.
@@ -698,12 +692,11 @@ mod tests {
                 let addr = addr.clone();
                 std::thread::spawn(move || {
                     let mut tcp = FramedTcp::connect(&addr).expect("connect");
-                    let mut buf = BytesMut::new();
-                    buf.extend_from_slice(&tcp.recv().expect("sub req"));
+                    let mut buf = tcp.recv().expect("sub req");
                     match E2Codec::decode(&mut buf).expect("decode") {
                         Some(E2Message::SubscriptionRequest { ran_function, .. }) => {
                             let resp = E2Message::SubscriptionResponse { ran_function };
-                            tcp.send(&E2Codec::encode_to_bytes(&resp)).expect("sub resp");
+                            tcp.send(&E2Codec::encode(&resp)).expect("sub resp");
                         }
                         other => panic!("node {i}: expected subscription, got {other:?}"),
                     }
@@ -713,12 +706,11 @@ mod tests {
                         duty_milli: 500,
                         mean_mcs_centi: 2_000,
                     });
-                    tcp.send(&E2Codec::encode_to_bytes(&kpi)).expect("kpi");
+                    tcp.send(&E2Codec::encode(&kpi)).expect("kpi");
                     buf.extend_from_slice(&tcp.recv().expect("ctrl"));
                     match E2Codec::decode(&mut buf).expect("decode ctrl") {
                         Some(E2Message::ControlRequest { .. }) => {
-                            tcp.send(&E2Codec::encode_to_bytes(&E2Message::ControlAck))
-                                .expect("ack");
+                            tcp.send(&E2Codec::encode(&E2Message::ControlAck)).expect("ack");
                         }
                         other => panic!("node {i}: expected control, got {other:?}"),
                     }
@@ -787,12 +779,11 @@ mod tests {
         let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
         let node = std::thread::spawn(move || {
             let mut tcp = FramedTcp::connect(&e2_addr).expect("connect");
-            let mut buf = BytesMut::new();
-            buf.extend_from_slice(&tcp.recv().expect("sub req"));
+            let mut buf = tcp.recv().expect("sub req");
             match E2Codec::decode(&mut buf).expect("decode") {
                 Some(E2Message::SubscriptionRequest { ran_function, .. }) => {
                     let resp = E2Message::SubscriptionResponse { ran_function };
-                    tcp.send(&E2Codec::encode_to_bytes(&resp)).expect("sub resp");
+                    tcp.send(&E2Codec::encode(&resp)).expect("sub resp");
                 }
                 other => panic!("expected subscription, got {other:?}"),
             }
@@ -802,7 +793,7 @@ mod tests {
                 duty_milli: 0,
                 mean_mcs_centi: 0,
             });
-            tcp.send(&E2Codec::encode_to_bytes(&kpi)).expect("kpi");
+            tcp.send(&E2Codec::encode(&kpi)).expect("kpi");
             release_rx.recv().ok();
         });
         let operator = std::thread::spawn(move || {

@@ -1,6 +1,5 @@
 //! Property-based tests of the O-RAN wire formats.
 
-use bytes::{BufMut, BytesMut};
 use edgebol_oran::{A1Message, E2Codec, E2Message, KpiReport, PolicyId, PolicyStatus, RadioPolicy};
 use proptest::prelude::*;
 
@@ -30,8 +29,7 @@ proptest! {
     /// residue.
     #[test]
     fn e2_roundtrip(msg in arb_e2()) {
-        let mut buf = BytesMut::new();
-        E2Codec::encode(&msg, &mut buf);
+        let mut buf = E2Codec::encode(&msg);
         let got = E2Codec::decode(&mut buf).unwrap().unwrap();
         prop_assert_eq!(got, msg);
         prop_assert!(buf.is_empty());
@@ -40,9 +38,9 @@ proptest! {
     /// Concatenated frames decode in order regardless of count.
     #[test]
     fn e2_stream_of_frames(msgs in proptest::collection::vec(arb_e2(), 1..20)) {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         for m in &msgs {
-            E2Codec::encode(m, &mut buf);
+            buf.extend(E2Codec::encode(m));
         }
         let mut got = Vec::new();
         while let Some(m) = E2Codec::decode(&mut buf).unwrap() {
@@ -55,11 +53,9 @@ proptest! {
     /// prefix of a valid frame, and never errors on it either.
     #[test]
     fn e2_prefix_safety(msg in arb_e2(), cut_frac in 0.0f64..1.0) {
-        let mut full = BytesMut::new();
-        E2Codec::encode(&msg, &mut full);
+        let full = E2Codec::encode(&msg);
         let cut = ((full.len() as f64 * cut_frac) as usize).min(full.len() - 1);
-        let mut partial = BytesMut::new();
-        partial.extend_from_slice(&full[..cut]);
+        let mut partial = full[..cut].to_vec();
         let r = E2Codec::decode(&mut partial).unwrap();
         prop_assert!(r.is_none(), "decoded from a truncated frame");
     }
@@ -67,9 +63,8 @@ proptest! {
     /// Garbage after a valid length header errors rather than misparses.
     #[test]
     fn e2_rejects_unknown_tags(tag in 6u8..=255, body in proptest::collection::vec(any::<u8>(), 0..8)) {
-        let mut buf = BytesMut::new();
-        buf.put_u32(1 + body.len() as u32);
-        buf.put_u8(tag);
+        let mut buf = (1 + body.len() as u32).to_be_bytes().to_vec();
+        buf.push(tag);
         buf.extend_from_slice(&body);
         prop_assert!(E2Codec::decode(&mut buf).is_err());
     }

@@ -21,7 +21,6 @@
 //! * `EDGEBOL_ROUNDS` — policy/KPI rounds after the handshake (default 10).
 //! * `EDGEBOL_REACTOR_BACKEND` — `epoll` (Linux default) or `sweep`.
 
-use bytes::BytesMut;
 use edgebol_metrics::Registry;
 use edgebol_oran::{E2Codec, E2Message, FramedTcp, KpiReport, RadioPolicy, RicServer};
 use std::thread;
@@ -38,8 +37,8 @@ fn knob(name: &str, default: usize) -> usize {
 /// ack the broadcast policy. Runs on its own blocking thread.
 fn cell_site(addr: String, node: usize, rounds: usize) {
     let mut tcp = FramedTcp::connect(&addr).expect("connect to RIC");
-    let mut buf = BytesMut::new();
-    let recv_msg = |tcp: &mut FramedTcp, buf: &mut BytesMut| -> E2Message {
+    let mut buf = Vec::new();
+    let recv_msg = |tcp: &mut FramedTcp, buf: &mut Vec<u8>| -> E2Message {
         loop {
             if let Some(msg) = E2Codec::decode(buf).expect("decode") {
                 return msg;
@@ -50,14 +49,14 @@ fn cell_site(addr: String, node: usize, rounds: usize) {
     match recv_msg(&mut tcp, &mut buf) {
         E2Message::SubscriptionRequest { ran_function, .. } => {
             let resp = E2Message::SubscriptionResponse { ran_function };
-            tcp.send(&E2Codec::encode_to_bytes(&resp)).expect("sub resp");
+            tcp.send(&E2Codec::encode(&resp)).expect("sub resp");
         }
         other => panic!("node {node}: expected subscription, got {other:?}"),
     }
     for round in 0..rounds {
         match recv_msg(&mut tcp, &mut buf) {
             E2Message::ControlRequest { .. } => {
-                tcp.send(&E2Codec::encode_to_bytes(&E2Message::ControlAck)).expect("ack");
+                tcp.send(&E2Codec::encode(&E2Message::ControlAck)).expect("ack");
             }
             other => panic!("node {node}: expected control, got {other:?}"),
         }
@@ -67,7 +66,7 @@ fn cell_site(addr: String, node: usize, rounds: usize) {
             duty_milli: 450,
             mean_mcs_centi: 2_600,
         });
-        tcp.send(&E2Codec::encode_to_bytes(&kpi)).expect("kpi");
+        tcp.send(&E2Codec::encode(&kpi)).expect("kpi");
     }
 }
 

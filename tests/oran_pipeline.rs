@@ -2,13 +2,12 @@
 //! A1 JSON and E2 binary frames over both the in-process and the TCP
 //! transports, and their use by the orchestrator.
 
-use bytes::{Bytes, BytesMut};
 use edgebol_core::agent::EdgeBolAgent;
 use edgebol_core::orchestrator::Orchestrator;
 use edgebol_core::problem::ProblemSpec;
 use edgebol_oran::{
-    duplex_pair, A1Message, E2Codec, E2Message, E2Node, FramedTcp, KpiReport, NearRtRic, NonRtRic,
-    PolicyStatus, RadioPolicy, RicEvent,
+    duplex_pair, A1Message, E2Codec, E2Message, E2Node, FramedTcp, KpiReport, Link, NearRtRic,
+    NonRtRic, PolicyStatus, RadioPolicy, RicEvent,
 };
 use edgebol_testbed::{Calibration, FlowTestbed, Scenario};
 use std::net::TcpListener;
@@ -61,7 +60,7 @@ fn e2_frames_survive_arbitrary_tcp_fragmentation() {
     let server = thread::spawn(move || {
         let (stream, _) = listener.accept().unwrap();
         let mut t = FramedTcp::new(stream);
-        let mut rx = BytesMut::new();
+        let mut rx = Vec::new();
         let mut got = Vec::new();
         while got.len() < expect.len() {
             let frame = t.recv().unwrap();
@@ -75,9 +74,9 @@ fn e2_frames_survive_arbitrary_tcp_fragmentation() {
     let mut client = FramedTcp::connect(&addr.to_string()).unwrap();
     // Batch several E2 frames per TCP frame to force buffer-boundary
     // handling at the receiver.
-    let mut batch = BytesMut::new();
+    let mut batch = Vec::new();
     for (i, m) in msgs.iter().enumerate() {
-        E2Codec::encode(m, &mut batch);
+        batch.extend(E2Codec::encode(m));
         if i % 7 == 6 {
             client.send(&batch).unwrap();
             batch.clear();
@@ -152,9 +151,8 @@ fn corrupted_e2_stream_is_rejected_not_misparsed() {
     let (up, down) = duplex_pair();
     let mut node = E2Node::new(down, Box::new(|_| {}));
     // A frame with a valid length header but garbage tag.
-    let mut buf = BytesMut::new();
-    buf.extend_from_slice(&3u32.to_be_bytes());
+    let mut buf = 3u32.to_be_bytes().to_vec();
     buf.extend_from_slice(&[0xFF, 0x01, 0x02]);
-    up.send(Bytes::from(buf.to_vec())).unwrap();
+    up.send(buf).unwrap();
     assert!(node.poll().is_err(), "garbage must surface as a codec error");
 }

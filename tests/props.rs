@@ -1,6 +1,5 @@
 //! Property-based tests of cross-crate invariants (proptest).
 
-use bytes::BytesMut;
 use edgebol_core::agent::EdgeBolAgent;
 use edgebol_core::orchestrator::Orchestrator;
 use edgebol_core::problem::ProblemSpec;
@@ -174,8 +173,7 @@ proptest! {
             duty_milli: duty,
             mean_mcs_centi: mcs,
         });
-        let mut buf = BytesMut::new();
-        E2Codec::encode(&msg, &mut buf);
+        let mut buf = E2Codec::encode(&msg);
         let got = E2Codec::decode(&mut buf).unwrap().unwrap();
         prop_assert_eq!(got, msg);
         prop_assert!(buf.is_empty());
@@ -242,11 +240,9 @@ proptest! {
         pos in any::<u64>(),
     ) {
         let msg = arb_e2_message(t_ms, power, duty, mcs, variant);
-        let frame = E2Codec::encode_to_bytes(&msg);
-        let (mangled, kind, _) = corrupt_payload(LinkId::E2, &frame, flip, pos);
-        let mut buf = BytesMut::new();
-        buf.extend_from_slice(&mangled);
-        E2Codec::encode(&E2Message::ControlAck, &mut buf);
+        let frame = E2Codec::encode(&msg);
+        let (mut buf, kind, _) = corrupt_payload(LinkId::E2, &frame, flip, pos);
+        buf.extend(E2Codec::encode(&E2Message::ControlAck));
         let first = E2Codec::decode(&mut buf);
         prop_assert!(
             matches!(first, Err(OranError::Codec(_)) | Err(OranError::Framing(_))),
@@ -290,8 +286,7 @@ proptest! {
     fn e2_decoder_survives_arbitrary_bytes(
         raw in proptest::collection::vec(any::<u8>(), 0..256),
     ) {
-        let mut buf = BytesMut::new();
-        buf.extend_from_slice(&raw);
+        let mut buf = raw;
         // Each iteration either consumes bytes or stops, so this loop is
         // finite for any input.
         loop {

@@ -23,14 +23,13 @@
 //! `EDGEBOL_CHAOS_SEED` offsets the environment seeds, like the other
 //! chaos suites, so the CI stress loop can sweep seeds.
 
-use bytes::BytesMut;
 use edgebol_core::agent::EdgeBolAgent;
 use edgebol_core::orchestrator::Orchestrator;
 use edgebol_core::problem::ProblemSpec;
 use edgebol_core::trace::Trace;
 use edgebol_metrics::Registry;
 use edgebol_oran::{
-    ChaosConfig, E2Codec, E2Message, FramedTcp, KpiReport, OpsServer, OpsState, RadioPolicy,
+    ChaosConfig, E2Codec, E2Message, FramedTcp, KpiReport, Link, OpsServer, OpsState, RadioPolicy,
     Reactor, ReactorBackend, RicServer, TransportKind,
 };
 use edgebol_testbed::{Calibration, FlowTestbed, Scenario};
@@ -125,12 +124,11 @@ fn one_reactor_thread_sustains_a_hundred_e2_sessions() {
             let addr = addr.clone();
             std::thread::spawn(move || {
                 let mut tcp = FramedTcp::connect(&addr).expect("connect");
-                let mut buf = BytesMut::new();
-                buf.extend_from_slice(&tcp.recv().expect("sub req"));
+                let mut buf = tcp.recv().expect("sub req");
                 match E2Codec::decode(&mut buf).expect("decode sub") {
                     Some(E2Message::SubscriptionRequest { ran_function, .. }) => {
                         let resp = E2Message::SubscriptionResponse { ran_function };
-                        tcp.send(&E2Codec::encode_to_bytes(&resp)).expect("sub resp");
+                        tcp.send(&E2Codec::encode(&resp)).expect("sub resp");
                     }
                     other => panic!("node {i}: expected subscription, got {other:?}"),
                 }
@@ -141,12 +139,12 @@ fn one_reactor_thread_sustains_a_hundred_e2_sessions() {
                         duty_milli: 500,
                         mean_mcs_centi: 2_000,
                     });
-                    tcp.send(&E2Codec::encode_to_bytes(&kpi)).expect("kpi");
+                    tcp.send(&E2Codec::encode(&kpi)).expect("kpi");
                 }
                 buf.extend_from_slice(&tcp.recv().expect("ctrl"));
                 match E2Codec::decode(&mut buf).expect("decode ctrl") {
                     Some(E2Message::ControlRequest { .. }) => {
-                        tcp.send(&E2Codec::encode_to_bytes(&E2Message::ControlAck)).expect("ack");
+                        tcp.send(&E2Codec::encode(&E2Message::ControlAck)).expect("ack");
                     }
                     other => panic!("node {i}: expected control, got {other:?}"),
                 }
@@ -235,12 +233,11 @@ fn http_churn_recycles_slots_without_disturbing_live_e2_sessions() {
     let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
     let node = std::thread::spawn(move || {
         let mut tcp = FramedTcp::connect(&e2_addr).expect("connect");
-        let mut buf = BytesMut::new();
-        buf.extend_from_slice(&tcp.recv().expect("sub req"));
+        let mut buf = tcp.recv().expect("sub req");
         match E2Codec::decode(&mut buf).expect("decode sub") {
             Some(E2Message::SubscriptionRequest { ran_function, .. }) => {
                 let resp = E2Message::SubscriptionResponse { ran_function };
-                tcp.send(&E2Codec::encode_to_bytes(&resp)).expect("sub resp");
+                tcp.send(&E2Codec::encode(&resp)).expect("sub resp");
             }
             other => panic!("expected subscription, got {other:?}"),
         }
@@ -250,13 +247,13 @@ fn http_churn_recycles_slots_without_disturbing_live_e2_sessions() {
             duty_milli: 500,
             mean_mcs_centi: 2_000,
         });
-        tcp.send(&E2Codec::encode_to_bytes(&kpi)).expect("kpi");
+        tcp.send(&E2Codec::encode(&kpi)).expect("kpi");
         // The post-churn policy fan-out: answer it, then hold the
         // connection open until the main thread is done asserting.
         buf.extend_from_slice(&tcp.recv().expect("ctrl"));
         match E2Codec::decode(&mut buf).expect("decode ctrl") {
             Some(E2Message::ControlRequest { .. }) => {
-                tcp.send(&E2Codec::encode_to_bytes(&E2Message::ControlAck)).expect("ack");
+                tcp.send(&E2Codec::encode(&E2Message::ControlAck)).expect("ack");
             }
             other => panic!("expected control, got {other:?}"),
         }
@@ -363,7 +360,7 @@ fn sweep_backend_carries_the_same_framed_traffic() {
     let (a, b) = reactor.pair().expect("loopback pair");
     for round in 0u32..32 {
         let payload = round.to_be_bytes().repeat(97); // spans several reads
-        a.send(bytes::Bytes::from(payload.clone())).expect("send");
+        a.send(payload.clone()).expect("send");
         let got = b.try_recv().expect("recv").expect("frame delivered");
         assert_eq!(&got[..], &payload[..], "round {round}");
     }
