@@ -34,22 +34,6 @@ pub struct Feedback {
     pub map: f64,
 }
 
-/// A contextual agent over a discrete control grid.
-///
-/// `select` receives the normalized context vector and returns a flat
-/// index into the [`crate::ControlGrid`]; `update` delivers the feedback
-/// for the pair at the end of the period.
-pub trait GridAgent {
-    /// Chooses a control for the observed context.
-    fn select(&mut self, context: &[f64]) -> usize;
-
-    /// Records the period's outcome.
-    fn update(&mut self, context: &[f64], control_idx: usize, feedback: &Feedback);
-
-    /// A short display name for experiment logs.
-    fn name(&self) -> &'static str;
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -6,7 +6,7 @@
 //! illustrates exactly why the paper needs correlation-aware learning:
 //! tabular methods cannot share information across neighbouring controls.
 
-use crate::api::{Constraints, Feedback, GridAgent};
+use crate::api::{Constraints, Feedback};
 use crate::grid::ControlGrid;
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
@@ -48,10 +48,10 @@ impl EpsGreedy {
     pub fn epsilon(&self) -> f64 {
         self.eps_min.max(1.0 / (1.0 + self.t as f64 / 20.0))
     }
-}
 
-impl GridAgent for EpsGreedy {
-    fn select(&mut self, _context: &[f64]) -> usize {
+    /// Chooses a control; the context is ignored (the baseline is
+    /// context-free).
+    pub fn select(&mut self, _context: &[f64]) -> usize {
         self.t += 1;
         if self.rng.random::<f64>() < self.epsilon() {
             return self.rng.random_range(0..self.grid.len());
@@ -72,7 +72,8 @@ impl GridAgent for EpsGreedy {
         }
     }
 
-    fn update(&mut self, _context: &[f64], control_idx: usize, feedback: &Feedback) {
+    /// Folds the period's penalized cost into the control's running mean.
+    pub fn update(&mut self, _context: &[f64], control_idx: usize, feedback: &Feedback) {
         let penalized = if self.constraints.satisfied(feedback.delay_s, feedback.map) {
             feedback.cost
         } else {
@@ -88,7 +89,8 @@ impl GridAgent for EpsGreedy {
         }
     }
 
-    fn name(&self) -> &'static str {
+    /// A short display name for experiment logs.
+    pub fn name(&self) -> &'static str {
         "eps-greedy"
     }
 }

@@ -1,8 +1,11 @@
 //! Contextual-bandit framework: EdgeBOL and its benchmarks.
 //!
 //! This crate contains the paper's algorithmic contribution and every
-//! baseline it is compared against, over an abstract interface so the same
-//! agents drive the flow-level testbed, the DES, or any other environment:
+//! baseline it is compared against. Each online agent picks a control
+//! for a normalized context (a flat [`ControlGrid`] index; DDPG's is a
+//! continuous action) and learns from the period's [`Feedback`];
+//! `edgebol_core::Agent` adapts them to the flow-level testbed, the DES,
+//! or any other environment:
 //!
 //! * [`EdgeBol`] — Algorithm 1: three Gaussian processes (cost, delay,
 //!   mAP) over the joint context–control space, a GP-estimated **safe set**
@@ -12,10 +15,11 @@
 //!   as the "prior data" for one-shot hyperparameter fitting (then frozen),
 //!   target standardization, candidate subsampling and a sliding
 //!   observation window for very long runs.
-//! * [`SafeOptLike`] — the SafeOpt-style baseline (§5 "Acquisition
-//!   function"): same safe set, but an uncertainty-maximizing acquisition
-//!   that explicitly expands the safe set; the paper reports (and Fig.-9
-//!   style runs here confirm) slower cost convergence.
+//! * [`Acquisition::MaxUncertainty`] — the SafeOpt-style baseline (§5
+//!   "Acquisition function"): [`EdgeBol`]'s safe set, but an
+//!   uncertainty-maximizing acquisition that explicitly expands it; the
+//!   paper reports (and Fig.-9 style runs here confirm) slower cost
+//!   convergence.
 //! * [`EpsGreedy`] — a contextless tabular ε-greedy control, the classic
 //!   bandit strawman.
 //! * [`Oracle`] — offline exhaustive search over the control grid against
@@ -35,12 +39,10 @@ pub mod edgebol;
 pub mod epsgreedy;
 pub mod grid;
 pub mod oracle;
-pub mod safeopt;
 
-pub use api::{Constraints, Feedback, GridAgent};
+pub use api::{Constraints, Feedback};
 pub use ddpg::{Ddpg, DdpgConfig};
 pub use edgebol::{Acquisition, EdgeBol, EdgeBolConfig};
 pub use epsgreedy::EpsGreedy;
 pub use grid::ControlGrid;
 pub use oracle::{Oracle, OracleOutcome};
-pub use safeopt::SafeOptLike;

@@ -1,7 +1,7 @@
 //! Property-based tests of the bandit layer.
 
 use edgebol_bandit::{
-    Acquisition, Constraints, ControlGrid, EdgeBol, EdgeBolConfig, Feedback, GridAgent, Oracle,
+    Acquisition, Constraints, ControlGrid, EdgeBol, EdgeBolConfig, Feedback, Oracle,
 };
 use proptest::prelude::*;
 

@@ -7,7 +7,7 @@
 //! context and once with a 7-dim per-user context `[n, cqi_1..cqi_3, …]`
 //! padded per §4.4 — and compares convergence and converged cost.
 
-use edgebol_bandit::{Constraints, ControlGrid, EdgeBol, EdgeBolConfig, Feedback, GridAgent};
+use edgebol_bandit::{Constraints, ControlGrid, EdgeBol, EdgeBolConfig, Feedback};
 use edgebol_bench::env::usize_knob;
 use edgebol_bench::{f1, f3, Table};
 use edgebol_linalg::stats::normal;

@@ -24,7 +24,7 @@
 //! way the full-resolution joint problem is intractable, which is §4.4's
 //! point.
 
-use edgebol_bandit::{Constraints, ControlGrid, EdgeBol, EdgeBolConfig, Feedback, GridAgent};
+use edgebol_bandit::{Constraints, ControlGrid, EdgeBol, EdgeBolConfig, Feedback};
 use edgebol_bench::env::usize_knob;
 use edgebol_bench::{f1, f3, Table};
 use edgebol_testbed::{Calibration, ControlInput, MultiServiceTestbed, ServiceCfg};

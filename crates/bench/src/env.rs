@@ -9,11 +9,11 @@
 //! a footgun, so every accessor panics on garbage.
 //!
 //! Each knob has a pure `parse_*` function (unit-testable without
-//! touching the process environment) and a thin accessor that reads the
-//! variable and panics with the uniform message. Process-wide caching
-//! and once-per-process reporting stay in the crate root
-//! ([`crate::metrics_mode`], [`crate::chaos_from_env`], ...), which
-//! delegate here.
+//! touching the process environment) and a one-line accessor that reads
+//! the variable through the private `knob` helper, which panics with the
+//! uniform message. Process-wide caching and once-per-process reporting
+//! stay in the crate root ([`crate::metrics_mode`],
+//! [`crate::chaos_from_env`], ...), which delegate here.
 //!
 //! The knob map (see README "Environment knobs" for semantics):
 //!
@@ -61,9 +61,18 @@ fn raw(key: &str) -> Option<String> {
     }
 }
 
-/// The uniform failure: every malformed knob dies with this shape.
-fn invalid(key: &str, value: &str, expected: &str) -> ! {
-    panic!("invalid {key} value {value:?}: expected {expected}")
+/// Reads knob `key` through its `parse_*` function: `None` when unset
+/// or blank.
+///
+/// # Panics
+/// On a malformed value, with the uniform shape every knob dies with:
+/// `invalid <KEY> value "<v>": expected <what>`.
+fn knob<T>(key: &str, parse: impl Fn(&str) -> Result<T, String>) -> Option<T> {
+    let v = raw(key)?;
+    match parse(&v) {
+        Ok(x) => Some(x),
+        Err(expected) => panic!("invalid {key} value {v:?}: expected {expected}"),
+    }
 }
 
 /// Parses an `EDGEBOL_THREADS`-style worker count.
@@ -83,11 +92,7 @@ pub fn parse_threads(v: &str) -> Result<usize, String> {
 /// # Panics
 /// On a malformed value.
 pub fn threads() -> Option<usize> {
-    let v = raw("EDGEBOL_THREADS")?;
-    match parse_threads(&v) {
-        Ok(n) => Some(n),
-        Err(e) => invalid("EDGEBOL_THREADS", &v, &e),
-    }
+    knob("EDGEBOL_THREADS", parse_threads)
 }
 
 /// Parses an `EDGEBOL_METRICS`-style observability mode.
@@ -112,11 +117,7 @@ pub fn parse_metrics_mode(v: &str) -> Result<MetricsMode, String> {
 /// # Panics
 /// On a malformed value.
 pub fn metrics_mode() -> MetricsMode {
-    let v = raw("EDGEBOL_METRICS").unwrap_or_default();
-    match parse_metrics_mode(&v) {
-        Ok(m) => m,
-        Err(e) => invalid("EDGEBOL_METRICS", &v, &e),
-    }
+    knob("EDGEBOL_METRICS", parse_metrics_mode).unwrap_or(MetricsMode::Off)
 }
 
 /// Parses an `EDGEBOL_CHAOS`-style fault spec (see
@@ -133,11 +134,7 @@ pub fn parse_chaos(v: &str) -> Result<ChaosConfig, String> {
 /// # Panics
 /// On a malformed spec.
 pub fn chaos() -> Option<ChaosConfig> {
-    let v = raw("EDGEBOL_CHAOS")?;
-    match parse_chaos(&v) {
-        Ok(c) => Some(c),
-        Err(e) => invalid("EDGEBOL_CHAOS", &v, &format!("a fault spec ({e})")),
-    }
+    knob("EDGEBOL_CHAOS", |v| parse_chaos(v).map_err(|e| format!("a fault spec ({e})")))
 }
 
 /// Parses an `EDGEBOL_FALLBACK`-style survival mode.
@@ -155,13 +152,7 @@ pub fn parse_fallback(v: &str) -> Result<FallbackMode, String> {
 /// # Panics
 /// On a malformed value.
 pub fn fallback() -> FallbackMode {
-    match raw("EDGEBOL_FALLBACK") {
-        None => FallbackMode::Sticky,
-        Some(v) => match parse_fallback(&v) {
-            Ok(m) => m,
-            Err(e) => invalid("EDGEBOL_FALLBACK", &v, &e),
-        },
-    }
+    knob("EDGEBOL_FALLBACK", parse_fallback).unwrap_or(FallbackMode::Sticky)
 }
 
 /// Parses an `EDGEBOL_TRANSPORT`-style transport kind.
@@ -184,13 +175,7 @@ pub fn parse_transport(v: &str) -> Result<TransportKind, String> {
 /// # Panics
 /// On a malformed value.
 pub fn transport() -> TransportKind {
-    match raw("EDGEBOL_TRANSPORT") {
-        None => TransportKind::Poll,
-        Some(v) => match parse_transport(&v) {
-            Ok(k) => k,
-            Err(e) => invalid("EDGEBOL_TRANSPORT", &v, &e),
-        },
-    }
+    knob("EDGEBOL_TRANSPORT", parse_transport).unwrap_or(TransportKind::Poll)
 }
 
 /// Parses an `EDGEBOL_OPS`-style socket address.
@@ -209,11 +194,7 @@ pub fn parse_ops_addr(v: &str) -> Result<SocketAddr, String> {
 /// # Panics
 /// On a malformed address.
 pub fn ops_addr() -> Option<SocketAddr> {
-    let v = raw("EDGEBOL_OPS")?;
-    match parse_ops_addr(&v) {
-        Ok(a) => Some(a),
-        Err(e) => invalid("EDGEBOL_OPS", &v, &e),
-    }
+    knob("EDGEBOL_OPS", parse_ops_addr)
 }
 
 /// `EDGEBOL_FLIGHT_DIR`: the directory the crash flight-recorder dumps
@@ -240,13 +221,7 @@ pub fn parse_usize(v: &str) -> Result<usize, String> {
 /// On a malformed value — a misspelled sweep size must not silently
 /// run the default-sized sweep.
 pub fn usize_knob(key: &str, default: usize) -> usize {
-    match raw(key) {
-        None => default,
-        Some(v) => match parse_usize(&v) {
-            Ok(n) => n,
-            Err(e) => invalid(key, &v, &e),
-        },
-    }
+    knob(key, parse_usize).unwrap_or(default)
 }
 
 /// Which spawn modes the `fleet` bench sweeps.
@@ -298,13 +273,7 @@ pub fn parse_usize_list(v: &str) -> Result<Vec<usize>, String> {
 /// # Panics
 /// On a malformed list.
 pub fn fleet_slices() -> Vec<usize> {
-    match raw("EDGEBOL_FLEET_SLICES") {
-        None => vec![10, 32, 100, 316, 1000],
-        Some(v) => match parse_usize_list(&v) {
-            Ok(l) => l,
-            Err(e) => invalid("EDGEBOL_FLEET_SLICES", &v, &e),
-        },
-    }
+    knob("EDGEBOL_FLEET_SLICES", parse_usize_list).unwrap_or_else(|| vec![10, 32, 100, 316, 1000])
 }
 
 /// `EDGEBOL_FLEET_PERIODS`: how many control periods each slice lives
@@ -346,13 +315,7 @@ pub fn parse_positive_f64(v: &str) -> Result<f64, String> {
 /// # Panics
 /// On a malformed value.
 pub fn fleet_gpu_capacity() -> f64 {
-    match raw("EDGEBOL_FLEET_GPU_CAPACITY") {
-        None => 8.0,
-        Some(v) => match parse_positive_f64(&v) {
-            Ok(x) => x,
-            Err(e) => invalid("EDGEBOL_FLEET_GPU_CAPACITY", &v, &e),
-        },
-    }
+    knob("EDGEBOL_FLEET_GPU_CAPACITY", parse_positive_f64).unwrap_or(8.0)
 }
 
 /// Parses an `EDGEBOL_FLEET_MODE`-style arm selector.
@@ -376,13 +339,7 @@ pub fn parse_fleet_mode(v: &str) -> Result<FleetMode, String> {
 /// # Panics
 /// On a malformed value.
 pub fn fleet_mode() -> FleetMode {
-    match raw("EDGEBOL_FLEET_MODE") {
-        None => FleetMode::Both,
-        Some(v) => match parse_fleet_mode(&v) {
-            Ok(m) => m,
-            Err(e) => invalid("EDGEBOL_FLEET_MODE", &v, &e),
-        },
-    }
+    knob("EDGEBOL_FLEET_MODE", parse_fleet_mode).unwrap_or(FleetMode::Both)
 }
 
 /// `EDGEBOL_CKPT_DIR`: the directory the fleet driver writes per-slice
@@ -437,13 +394,7 @@ pub fn parse_kill_schedule(v: &str) -> Result<Vec<(u64, usize)>, String> {
 /// # Panics
 /// On a malformed schedule.
 pub fn fleet_kill() -> Vec<(u64, usize)> {
-    match raw("EDGEBOL_FLEET_KILL") {
-        None => Vec::new(),
-        Some(v) => match parse_kill_schedule(&v) {
-            Ok(s) => s,
-            Err(e) => invalid("EDGEBOL_FLEET_KILL", &v, &e),
-        },
-    }
+    knob("EDGEBOL_FLEET_KILL", parse_kill_schedule).unwrap_or_default()
 }
 
 /// `EDGEBOL_SOAK_CYCLES`: how many kill/restore cycles (each paired

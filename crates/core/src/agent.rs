@@ -7,7 +7,6 @@
 use crate::problem::ProblemSpec;
 use edgebol_bandit::{
     Constraints, ControlGrid, Ddpg, DdpgConfig, EdgeBol, EdgeBolConfig, EpsGreedy, Feedback,
-    GridAgent,
 };
 use edgebol_testbed::{ContextObs, ControlInput, PeriodObservation};
 

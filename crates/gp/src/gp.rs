@@ -370,49 +370,6 @@ impl GaussianProcess {
     pub fn data(&self) -> (&[f64], &[f64]) {
         (&self.xs, &self.ys)
     }
-
-    /// Exports the retained posterior observations as a portable
-    /// [`GpSnapshot`] — the transfer format of the fleet layer's
-    /// warm-start: a freshly spawned learner absorbs a neighbour's
-    /// snapshot instead of exploring from the prior.
-    ///
-    /// ```
-    /// use edgebol_gp::{GaussianProcess, Kernel};
-    ///
-    /// let mut donor = GaussianProcess::new(Kernel::matern32(1.0, vec![0.4]), 1e-4);
-    /// for i in 0..8 {
-    ///     let x = i as f64 / 7.0;
-    ///     donor.observe(&[x], (3.0 * x).cos()).unwrap();
-    /// }
-    /// let snap = donor.snapshot();
-    /// assert_eq!(snap.len(), 8);
-    ///
-    /// let mut fresh = GaussianProcess::new(Kernel::matern32(1.0, vec![0.4]), 1e-4);
-    /// fresh.absorb(&snap).unwrap();
-    /// let (m_d, _) = donor.predict(&[0.5]);
-    /// let (m_f, _) = fresh.predict(&[0.5]);
-    /// assert!((m_d - m_f).abs() < 1e-12);
-    /// ```
-    pub fn snapshot(&self) -> GpSnapshot {
-        GpSnapshot { dim: self.kernel.dim(), xs: self.xs.clone(), ys: self.ys.clone() }
-    }
-
-    /// Replays every observation of `snap` into this GP (oldest first,
-    /// honouring the sliding window), returning how many were absorbed.
-    ///
-    /// # Errors
-    /// [`GpError::DimensionMismatch`] when the snapshot's input dimension
-    /// differs from the kernel's; observations absorbed before the error
-    /// are kept (each replayed point is an ordinary [`Self::observe`]).
-    pub fn absorb(&mut self, snap: &GpSnapshot) -> Result<usize, GpError> {
-        if snap.dim != self.kernel.dim() {
-            return Err(GpError::DimensionMismatch { expected: self.kernel.dim(), got: snap.dim });
-        }
-        for (z, y) in snap.iter() {
-            self.observe(z, y)?;
-        }
-        Ok(snap.len())
-    }
 }
 
 /// How many leading coordinates every `d`-dim point of the flat `points`
@@ -423,55 +380,6 @@ fn shared_prefix(points: &[f64], d: usize) -> usize {
     rows.fold(d, |s, p| {
         first[..s].iter().zip(p).take_while(|(a, b)| a.to_bits() == b.to_bits()).count()
     })
-}
-
-/// A portable export of a GP's retained observations — what
-/// [`GaussianProcess::snapshot`] produces and
-/// [`GaussianProcess::absorb`] replays. The snapshot carries raw data,
-/// not the factorization: absorbing rebuilds the posterior under the
-/// *receiver's* kernel and noise, so a transfer between GPs with
-/// different hyperparameters is well defined (the receiving model simply
-/// conditions on the donor's evidence).
-#[derive(Debug, Clone, PartialEq)]
-pub struct GpSnapshot {
-    /// Input dimensionality of every point.
-    dim: usize,
-    /// Flattened inputs, `len = n * dim`, oldest observation first.
-    xs: Vec<f64>,
-    /// Targets, `len = n`, oldest observation first.
-    ys: Vec<f64>,
-}
-
-impl GpSnapshot {
-    /// Builds a snapshot from raw parts (`xs` flat row-major).
-    ///
-    /// # Panics
-    /// Panics if `dim == 0` or the lengths are inconsistent.
-    pub fn from_parts(dim: usize, xs: Vec<f64>, ys: Vec<f64>) -> Self {
-        assert!(dim > 0, "snapshot dimension must be positive");
-        assert_eq!(xs.len(), ys.len() * dim, "snapshot shape: xs must be ys.len() * dim");
-        GpSnapshot { dim, xs, ys }
-    }
-
-    /// Number of observations in the snapshot.
-    pub fn len(&self) -> usize {
-        self.ys.len()
-    }
-
-    /// `true` when the snapshot holds no observations.
-    pub fn is_empty(&self) -> bool {
-        self.ys.is_empty()
-    }
-
-    /// Input dimensionality.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
-    /// Iterates the observations as `(input, target)` pairs, oldest first.
-    pub fn iter(&self) -> impl Iterator<Item = (&[f64], f64)> + '_ {
-        self.ys.iter().enumerate().map(|(i, &y)| (&self.xs[i * self.dim..(i + 1) * self.dim], y))
-    }
 }
 
 #[cfg(test)]
@@ -757,57 +665,6 @@ mod tests {
         gp.observe(&[1.5], 9.0).unwrap();
         let (_, ys) = gp.data();
         assert_eq!(ys, &[1.0, 2.0, 3.0, 4.0, 9.0]);
-    }
-
-    #[test]
-    fn snapshot_absorb_reproduces_the_posterior() {
-        let mut donor = toy_gp();
-        for i in 0..10 {
-            let x = i as f64 / 9.0;
-            donor.observe(&[x], (4.0 * x).sin()).unwrap();
-        }
-        let snap = donor.snapshot();
-        assert_eq!(snap.len(), 10);
-        assert_eq!(snap.dim(), 1);
-        let mut fresh = toy_gp();
-        assert_eq!(fresh.absorb(&snap).unwrap(), 10);
-        for j in 0..7 {
-            let q = [j as f64 / 6.0];
-            let (md, sd) = donor.predict(&q);
-            let (mf, sf) = fresh.predict(&q);
-            assert!((md - mf).abs() < 1e-12, "mean at {q:?}");
-            assert!((sd - sf).abs() < 1e-12, "std at {q:?}");
-        }
-    }
-
-    #[test]
-    fn absorb_respects_the_sliding_window() {
-        let mut donor = toy_gp();
-        for i in 0..9 {
-            donor.observe(&[i as f64], i as f64).unwrap();
-        }
-        let mut small = toy_gp().with_max_observations(4);
-        small.absorb(&donor.snapshot()).unwrap();
-        assert_eq!(small.len(), 4);
-        let (_, ys) = small.data();
-        assert_eq!(ys, &[5.0, 6.0, 7.0, 8.0], "the newest donor points survive");
-    }
-
-    #[test]
-    fn absorb_rejects_dimension_mismatch() {
-        let snap = GpSnapshot::from_parts(2, vec![0.0, 0.0], vec![1.0]);
-        let mut gp = toy_gp();
-        assert!(matches!(
-            gp.absorb(&snap),
-            Err(GpError::DimensionMismatch { expected: 1, got: 2 })
-        ));
-        assert!(gp.is_empty(), "nothing absorbed on a shape mismatch");
-    }
-
-    #[test]
-    #[should_panic(expected = "snapshot shape")]
-    fn snapshot_from_parts_checks_shape() {
-        let _ = GpSnapshot::from_parts(2, vec![0.0; 3], vec![1.0]);
     }
 
     /// When the downdate reports failure the refactor fallback must keep

@@ -25,13 +25,6 @@ impl Dataset {
         Dataset { scenes, seed }
     }
 
-    /// Generates with a custom scene generator.
-    pub fn generate_with(n: usize, seed: u64, gen: &SceneGenerator) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let scenes = (0..n as u64).map(|id| gen.generate(id, &mut rng)).collect();
-        Dataset { scenes, seed }
-    }
-
     /// The scenes.
     pub fn scenes(&self) -> &[Scene] {
         &self.scenes

@@ -6,8 +6,8 @@
 //! rApp would: per-period step latency, per-stage control-plane failures,
 //! injected-fault counts, runner utilization. This crate is the registry
 //! those layers record into. Its one dependency is the std-only
-//! `edgebol-trace`, whose JSON string escaper [`Snapshot::to_json`]
-//! shares. It has three metric kinds:
+//! `edgebol-trace`, whose JSON string escaper and `f64` writer
+//! [`Snapshot::to_json`] shares. It has three metric kinds:
 //!
 //! * [`Counter`] — a monotonically increasing `u64` ([`Counter::inc`] /
 //!   [`Counter::add`]).
@@ -55,7 +55,7 @@
 
 #![deny(missing_docs)]
 
-use edgebol_trace::json::escape;
+use edgebol_trace::json::{escape, push_f64};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -700,10 +700,11 @@ impl Snapshot {
     }
 
     /// JSON document: `{"counters": {...}, "gauges": {...},
-    /// "histograms": {...}}` (hand-rolled; no non-finite values are
-    /// produced by the workspace's metrics). Series names are escaped by
-    /// [`edgebol_trace::json::escape`], so any label value yields valid
-    /// JSON.
+    /// "histograms": {...}}`, hand-rolled on `edgebol_trace::json`:
+    /// series names go through [`escape`], so any label value yields valid
+    /// JSON, and gauge values and histogram sums through [`push_f64`], so
+    /// a non-finite reading renders as `null` (bucket bounds are finite by
+    /// construction).
     pub fn to_json(&self) -> String {
         let mut counters = Vec::new();
         let mut gauges = Vec::new();
@@ -711,7 +712,11 @@ impl Snapshot {
         for e in &self.entries {
             match &e.value {
                 MetricValue::Counter(v) => counters.push(format!("{}: {v}", escape(&e.name))),
-                MetricValue::Gauge(v) => gauges.push(format!("{}: {v}", escape(&e.name))),
+                MetricValue::Gauge(v) => {
+                    let mut g = format!("{}: ", escape(&e.name));
+                    push_f64(&mut g, *v);
+                    gauges.push(g);
+                }
                 MetricValue::Histogram { bounds, buckets, count, sum } => {
                     let bucket_objs: Vec<String> = buckets
                         .iter()
@@ -721,11 +726,10 @@ impl Snapshot {
                             None => format!("{{\"le\": \"+Inf\", \"count\": {b}}}"),
                         })
                         .collect();
-                    hists.push(format!(
-                        "{}: {{\"count\": {count}, \"sum\": {sum}, \"buckets\": [{}]}}",
-                        escape(&e.name),
-                        bucket_objs.join(", ")
-                    ));
+                    let mut h = format!("{}: {{\"count\": {count}, \"sum\": ", escape(&e.name));
+                    push_f64(&mut h, *sum);
+                    let _ = write!(h, ", \"buckets\": [{}]}}", bucket_objs.join(", "));
+                    hists.push(h);
                 }
             }
         }
@@ -921,6 +925,18 @@ mod tests {
         let json = reg.snapshot().to_json();
         edgebol_trace::json::validate(&json).unwrap_or_else(|e| panic!("{e}:\n{json}"));
         assert!(json.contains("\"odd_total{v=\\\"a\\tb\\r\\u0001\\\"}\": 1"), "{json}");
+    }
+
+    #[test]
+    fn non_finite_readings_still_render_valid_json() {
+        let reg = Registry::new();
+        reg.gauge("nan").set(f64::NAN);
+        reg.gauge("inf").set(f64::INFINITY);
+        reg.histogram("neg_inf_seconds", &[1.0]).observe(f64::NEG_INFINITY);
+        let json = reg.snapshot().to_json();
+        edgebol_trace::json::validate(&json).unwrap_or_else(|e| panic!("{e}:\n{json}"));
+        assert!(json.contains("\"nan\": null"), "{json}");
+        assert!(json.contains("\"sum\": null"), "{json}");
     }
 
     #[test]

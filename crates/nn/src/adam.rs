@@ -26,17 +26,6 @@ impl Adam {
         Adam { lr, beta1: 0.9, beta2: 0.999, eps: 1e-8, m: vec![0.0; n], v: vec![0.0; n], t: 0 }
     }
 
-    /// Overrides the moment decay coefficients.
-    ///
-    /// # Panics
-    /// Panics unless both betas lie in `[0, 1)`.
-    pub fn with_betas(mut self, beta1: f64, beta2: f64) -> Self {
-        assert!((0.0..1.0).contains(&beta1) && (0.0..1.0).contains(&beta2));
-        self.beta1 = beta1;
-        self.beta2 = beta2;
-        self
-    }
-
     /// Current learning rate.
     pub fn lr(&self) -> f64 {
         self.lr

@@ -2,9 +2,10 @@
 //!
 //! The wire format is JSON with an internal `"msg"` tag, e.g.
 //! `{"msg":"PutPolicy","policy_id":"edgebol-0","policy_type":20008,
-//! "policy":{"airtime":0.35,"max_mcs":17}}`. The codec is hand-rolled
-//! rather than derived so the guarantees the control loop depends on are
-//! explicit:
+//! "policy":{"airtime":0.35,"max_mcs":17}}`. The codec is hand-rolled on
+//! the workspace's one JSON module (`edgebol_trace::json`: its writers
+//! encode, its [`parse`] decodes) so the guarantees the control loop
+//! depends on are explicit:
 //!
 //! * [`A1Message::to_json`] is **panic-free** (it returns a `String` for
 //!   every representable message; non-finite floats encode as `null`).
@@ -16,7 +17,7 @@
 //! * Malformed input surfaces as [`OranError::Codec`], never a panic.
 
 use crate::OranError;
-use edgebol_trace::json::push_escaped;
+use edgebol_trace::json::{parse, push_escaped, push_f64};
 use std::fmt::Write as _;
 
 /// The policy type id this workspace registers for its radio policy
@@ -57,12 +58,12 @@ impl PolicyStatus {
         }
     }
 
-    fn parse(s: &str) -> Result<Self, OranError> {
+    fn parse(s: &str) -> Result<Self, String> {
         match s {
             "Enforced" => Ok(PolicyStatus::Enforced),
             "Rejected" => Ok(PolicyStatus::Rejected),
             "Deleted" => Ok(PolicyStatus::Deleted),
-            other => Err(OranError::Codec(format!("unknown policy status {other:?}"))),
+            other => Err(format!("unknown policy status {other:?}")),
         }
     }
 }
@@ -100,7 +101,7 @@ impl A1Message {
                 push_escaped(&mut out, &policy_id.0);
                 // The write! sink is a String: infallible by construction.
                 let _ = write!(out, ",\"policy_type\":{policy_type},\"policy\":{{\"airtime\":");
-                write_json_f64(&mut out, policy.airtime);
+                push_f64(&mut out, policy.airtime);
                 let _ = write!(out, ",\"max_mcs\":{}}}}}", policy.max_mcs);
             }
             A1Message::DeletePolicy { policy_id } => {
@@ -144,8 +145,11 @@ impl A1Message {
     /// [`OranError::Codec`] on malformed JSON, an unknown `"msg"` tag, or
     /// missing/mistyped fields.
     pub fn from_json(s: &str) -> Result<Self, OranError> {
-        let doc = json::parse(s)?;
-        let mut obj = doc.into_object("A1 message")?;
+        Self::from_doc(s).map_err(OranError::Codec)
+    }
+
+    fn from_doc(s: &str) -> Result<Self, String> {
+        let mut obj = parse(s)?.into_object("A1 message")?;
         let tag = obj.get_str("msg")?;
         match tag.as_str() {
             "PutPolicy" => {
@@ -155,13 +159,13 @@ impl A1Message {
                     policy_type: obj
                         .get_u64("policy_type")?
                         .try_into()
-                        .map_err(|_| OranError::Codec("policy_type exceeds u32".into()))?,
+                        .map_err(|_| "policy_type exceeds u32")?,
                     policy: RadioPolicy {
                         airtime: policy.get_f64("airtime")?,
                         max_mcs: policy
                             .get_u64("max_mcs")?
                             .try_into()
-                            .map_err(|_| OranError::Codec("max_mcs exceeds u8".into()))?,
+                            .map_err(|_| "max_mcs exceeds u8")?,
                     },
                 })
             }
@@ -176,7 +180,7 @@ impl A1Message {
                 t_ms: obj.get_u64("t_ms")?,
                 bs_power_mw: obj.get_u64("bs_power_mw")?,
             }),
-            other => Err(OranError::Codec(format!("unknown A1 message tag {other:?}"))),
+            other => Err(format!("unknown A1 message tag {other:?}")),
         }
     }
 }
@@ -185,278 +189,6 @@ impl RadioPolicy {
     /// Validates the ranges A1 policy-type schema would enforce.
     pub fn is_valid(&self) -> bool {
         self.airtime > 0.0 && self.airtime <= 1.0 && self.max_mcs <= 28
-    }
-}
-
-fn write_json_f64(out: &mut String, v: f64) {
-    if v.is_finite() {
-        // Rust's Display is shortest-roundtrip: parsing the digits back
-        // recovers the identical bit pattern.
-        let _ = write!(out, "{v}");
-    } else {
-        // JSON has no NaN/Infinity literal; `null` parses back as NaN.
-        out.push_str("null");
-    }
-}
-
-/// A minimal JSON reader: just enough for A1 documents (objects, strings,
-/// numbers kept as raw text for exact integer handling, booleans, null).
-/// Errors are [`OranError::Codec`] with position context.
-mod json {
-    use crate::OranError;
-
-    #[derive(Debug)]
-    pub enum Value<'a> {
-        Object(Vec<(String, Value<'a>)>),
-        String(String),
-        /// Raw number text; converted on demand so u64 stays exact.
-        Number(&'a str),
-        /// Payload dropped: no A1 field is boolean, so the value only
-        /// ever appears in "unexpected type" errors.
-        Bool,
-        Null,
-    }
-
-    pub struct Object<'a>(pub Vec<(String, Value<'a>)>);
-
-    impl<'a> Value<'a> {
-        pub fn into_object(self, what: &str) -> Result<Object<'a>, OranError> {
-            match self {
-                Value::Object(fields) => Ok(Object(fields)),
-                other => Err(OranError::Codec(format!("{what}: expected object, got {other:?}"))),
-            }
-        }
-    }
-
-    impl<'a> Object<'a> {
-        pub fn get(&mut self, key: &str) -> Result<Value<'a>, OranError> {
-            let idx = self
-                .0
-                .iter()
-                .position(|(k, _)| k == key)
-                .ok_or_else(|| OranError::Codec(format!("missing field {key:?}")))?;
-            Ok(self.0.swap_remove(idx).1)
-        }
-
-        pub fn get_str(&mut self, key: &str) -> Result<String, OranError> {
-            match self.get(key)? {
-                Value::String(s) => Ok(s),
-                other => {
-                    Err(OranError::Codec(format!("field {key:?}: expected string, got {other:?}")))
-                }
-            }
-        }
-
-        pub fn get_u64(&mut self, key: &str) -> Result<u64, OranError> {
-            match self.get(key)? {
-                Value::Number(raw) => raw
-                    .parse()
-                    .map_err(|_| OranError::Codec(format!("field {key:?}: {raw:?} is not a u64"))),
-                other => {
-                    Err(OranError::Codec(format!("field {key:?}: expected integer, got {other:?}")))
-                }
-            }
-        }
-
-        pub fn get_f64(&mut self, key: &str) -> Result<f64, OranError> {
-            match self.get(key)? {
-                Value::Number(raw) => raw.parse().map_err(|_| {
-                    OranError::Codec(format!("field {key:?}: {raw:?} is not a number"))
-                }),
-                Value::Null => Ok(f64::NAN),
-                other => {
-                    Err(OranError::Codec(format!("field {key:?}: expected number, got {other:?}")))
-                }
-            }
-        }
-    }
-
-    pub fn parse(src: &str) -> Result<Value<'_>, OranError> {
-        let mut p = Parser { src: src.as_bytes(), text: src, pos: 0 };
-        p.skip_ws();
-        let v = p.value(0)?;
-        p.skip_ws();
-        if p.pos != p.src.len() {
-            return Err(p.err("trailing data after JSON document"));
-        }
-        Ok(v)
-    }
-
-    const MAX_DEPTH: usize = 32;
-
-    struct Parser<'a> {
-        src: &'a [u8],
-        text: &'a str,
-        pos: usize,
-    }
-
-    impl<'a> Parser<'a> {
-        fn err(&self, msg: &str) -> OranError {
-            OranError::Codec(format!("{msg} at byte {}", self.pos))
-        }
-
-        fn skip_ws(&mut self) {
-            while let Some(b' ' | b'\t' | b'\n' | b'\r') = self.src.get(self.pos) {
-                self.pos += 1;
-            }
-        }
-
-        fn peek(&self) -> Option<u8> {
-            self.src.get(self.pos).copied()
-        }
-
-        fn eat(&mut self, b: u8) -> Result<(), OranError> {
-            if self.peek() == Some(b) {
-                self.pos += 1;
-                Ok(())
-            } else {
-                Err(self.err(&format!("expected {:?}", b as char)))
-            }
-        }
-
-        fn eat_literal(&mut self, lit: &str) -> bool {
-            if self.text[self.pos..].starts_with(lit) {
-                self.pos += lit.len();
-                true
-            } else {
-                false
-            }
-        }
-
-        fn value(&mut self, depth: usize) -> Result<Value<'a>, OranError> {
-            if depth > MAX_DEPTH {
-                return Err(self.err("nesting too deep"));
-            }
-            match self.peek() {
-                Some(b'{') => self.object(depth),
-                Some(b'"') => Ok(Value::String(self.string()?)),
-                Some(b't') if self.eat_literal("true") => Ok(Value::Bool),
-                Some(b'f') if self.eat_literal("false") => Ok(Value::Bool),
-                Some(b'n') if self.eat_literal("null") => Ok(Value::Null),
-                Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-                _ => Err(self.err("expected a JSON value")),
-            }
-        }
-
-        fn object(&mut self, depth: usize) -> Result<Value<'a>, OranError> {
-            self.eat(b'{')?;
-            let mut fields = Vec::new();
-            self.skip_ws();
-            if self.peek() == Some(b'}') {
-                self.pos += 1;
-                return Ok(Value::Object(fields));
-            }
-            loop {
-                self.skip_ws();
-                let key = self.string()?;
-                self.skip_ws();
-                self.eat(b':')?;
-                self.skip_ws();
-                let val = self.value(depth + 1)?;
-                fields.push((key, val));
-                self.skip_ws();
-                match self.peek() {
-                    Some(b',') => self.pos += 1,
-                    Some(b'}') => {
-                        self.pos += 1;
-                        return Ok(Value::Object(fields));
-                    }
-                    _ => return Err(self.err("expected ',' or '}' in object")),
-                }
-            }
-        }
-
-        fn string(&mut self) -> Result<String, OranError> {
-            self.eat(b'"')?;
-            let mut out = String::new();
-            loop {
-                let start = self.pos;
-                // Fast path: run of plain bytes.
-                while let Some(&b) = self.src.get(self.pos) {
-                    if b == b'"' || b == b'\\' || b < 0x20 {
-                        break;
-                    }
-                    self.pos += 1;
-                }
-                // The scanned run is valid UTF-8 because the input is &str
-                // and the run breaks only at ASCII bytes.
-                out.push_str(&self.text[start..self.pos]);
-                match self.peek() {
-                    Some(b'"') => {
-                        self.pos += 1;
-                        return Ok(out);
-                    }
-                    Some(b'\\') => {
-                        self.pos += 1;
-                        match self.peek() {
-                            Some(b'"') => out.push('"'),
-                            Some(b'\\') => out.push('\\'),
-                            Some(b'/') => out.push('/'),
-                            Some(b'n') => out.push('\n'),
-                            Some(b'r') => out.push('\r'),
-                            Some(b't') => out.push('\t'),
-                            Some(b'b') => out.push('\u{8}'),
-                            Some(b'f') => out.push('\u{c}'),
-                            Some(b'u') => {
-                                let hex = self
-                                    .text
-                                    .get(self.pos + 1..self.pos + 5)
-                                    .ok_or_else(|| self.err("truncated \\u escape"))?;
-                                let code = u32::from_str_radix(hex, 16)
-                                    .map_err(|_| self.err("bad \\u escape"))?;
-                                // Surrogate pairs are not needed for A1
-                                // ids; reject rather than mis-decode.
-                                let c = char::from_u32(code)
-                                    .ok_or_else(|| self.err("\\u escape is not a scalar value"))?;
-                                out.push(c);
-                                self.pos += 4;
-                            }
-                            _ => return Err(self.err("bad escape sequence")),
-                        }
-                        self.pos += 1;
-                    }
-                    _ => return Err(self.err("unterminated string")),
-                }
-            }
-        }
-
-        fn number(&mut self) -> Result<Value<'a>, OranError> {
-            let start = self.pos;
-            if self.peek() == Some(b'-') {
-                self.pos += 1;
-            }
-            let digits_start = self.pos;
-            while self.peek().is_some_and(|b| b.is_ascii_digit()) {
-                self.pos += 1;
-            }
-            if self.pos == digits_start {
-                return Err(self.err("number has no digits"));
-            }
-            if self.peek() == Some(b'.') {
-                self.pos += 1;
-                let frac_start = self.pos;
-                while self.peek().is_some_and(|b| b.is_ascii_digit()) {
-                    self.pos += 1;
-                }
-                if self.pos == frac_start {
-                    return Err(self.err("number has an empty fraction"));
-                }
-            }
-            if let Some(b'e' | b'E') = self.peek() {
-                self.pos += 1;
-                if let Some(b'+' | b'-') = self.peek() {
-                    self.pos += 1;
-                }
-                let exp_start = self.pos;
-                while self.peek().is_some_and(|b| b.is_ascii_digit()) {
-                    self.pos += 1;
-                }
-                if self.pos == exp_start {
-                    return Err(self.err("number has an empty exponent"));
-                }
-            }
-            Ok(Value::Number(&self.text[start..self.pos]))
-        }
     }
 }
 
@@ -474,6 +206,41 @@ mod tests {
         let j = m.to_json();
         assert!(j.contains("PutPolicy"), "{j}");
         assert_eq!(A1Message::from_json(&j).unwrap(), m);
+    }
+
+    #[test]
+    fn every_variant_matches_its_golden_document() {
+        let put = |id: &str, airtime: f64, max_mcs: u8| A1Message::PutPolicy {
+            policy_id: PolicyId(id.into()),
+            policy_type: A1_POLICY_TYPE_RADIO,
+            policy: RadioPolicy { airtime, max_mcs },
+        };
+        let id = || PolicyId("edgebol-0".into());
+        let cases = [
+            (
+                put("edgebol-0", 0.35, 17),
+                r#"{"msg":"PutPolicy","policy_id":"edgebol-0","policy_type":20008,"policy":{"airtime":0.35,"max_mcs":17}}"#,
+            ),
+            (
+                put("n", f64::NAN, 1),
+                r#"{"msg":"PutPolicy","policy_id":"n","policy_type":20008,"policy":{"airtime":null,"max_mcs":1}}"#,
+            ),
+            (
+                A1Message::DeletePolicy { policy_id: id() },
+                r#"{"msg":"DeletePolicy","policy_id":"edgebol-0"}"#,
+            ),
+            (
+                A1Message::Feedback { policy_id: id(), status: PolicyStatus::Enforced },
+                r#"{"msg":"Feedback","policy_id":"edgebol-0","status":"Enforced"}"#,
+            ),
+            (
+                A1Message::KpiSample { t_ms: 40_000, bs_power_mw: 5_250 },
+                r#"{"msg":"KpiSample","t_ms":40000,"bs_power_mw":5250}"#,
+            ),
+        ];
+        for (msg, golden) in cases {
+            assert_eq!(msg.to_json(), golden);
+        }
     }
 
     #[test]

@@ -13,8 +13,6 @@ use crate::OranError;
 
 /// RAN function id for the KPI-monitoring service model.
 pub const RAN_FUNC_KPI: u16 = 2;
-/// RAN function id for the radio-control service model.
-pub const RAN_FUNC_CONTROL: u16 = 3;
 
 /// A vBS KPI sample carried in an E2 indication.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -8,8 +8,10 @@
 //!
 //! * [`a1`] — A1-P policy documents. O-RAN specifies A1 policies as JSON
 //!   against a policy-type schema (O-RAN.WG2.A1AP); the wire codec is
-//!   hand-rolled so encoding is panic-free, `u64` fields are exact and
-//!   `f64` fields round-trip bit-exactly (shortest-roundtrip encode,
+//!   hand-rolled on the workspace's one JSON module
+//!   (`edgebol_trace::json`: `push_escaped`/`push_f64` encode, `parse`
+//!   decodes) so encoding is panic-free, `u64` fields are exact and `f64`
+//!   fields round-trip bit-exactly (shortest-roundtrip encode,
 //!   full-precision parse).
 //! * [`e2`] — an E2AP-style binary codec on plain `Vec<u8>` frames:
 //!   tagged, length-delimited, big-endian frames carrying subscriptions,

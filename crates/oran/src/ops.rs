@@ -70,11 +70,6 @@ impl HealthHandle {
         self.state.store(code, Ordering::Relaxed);
     }
 
-    /// Records a raw circuit code (the gauge encoding).
-    pub fn set_code(&self, code: u8) {
-        self.state.store(code, Ordering::Relaxed);
-    }
-
     /// The last recorded circuit code.
     pub fn code(&self) -> u8 {
         self.state.load(Ordering::Relaxed)

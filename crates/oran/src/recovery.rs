@@ -9,7 +9,7 @@
 //! * **Deterministic backoff** — retry timing is expressed in the
 //!   orchestrator's *period clock* (virtual time), never wall-clock
 //!   sleeps, so a replay of the same seed reproduces the same reconnect
-//!   schedule bit-exactly. Attempt `k` waits `min(base << k, cap)`
+//!   schedule bit-exactly. Attempt `k` waits `min(base · 2^k, cap)`
 //!   periods.
 //! * **Bounded retries + circuit breaker** — after
 //!   [`RecoveryPolicy::max_retries`] failed resyncs the circuit latches
@@ -81,7 +81,7 @@ impl std::str::FromStr for FallbackMode {
 pub struct RecoveryPolicy {
     /// Resync attempts before the circuit opens.
     pub max_retries: u32,
-    /// Backoff base: attempt `k` waits `min(base << k, cap)` periods.
+    /// Backoff base: attempt `k` waits `min(base · 2^k, cap)` periods.
     pub backoff_base: u64,
     /// Backoff ceiling in periods.
     pub backoff_cap: u64,
@@ -111,25 +111,15 @@ impl Default for RecoveryPolicy {
 
 impl RecoveryPolicy {
     /// The backoff for retry attempt `k` (0-based), in periods:
-    /// `min(base << k, cap)`, at least 1.
+    /// `min(base · 2^k, cap)` with a saturating product, at least 1.
     pub fn backoff(&self, attempt: u32) -> u64 {
-        let shifted = if attempt >= 63 {
-            self.backoff_cap
-        } else {
-            self.backoff_base.saturating_shl(attempt).min(self.backoff_cap)
-        };
-        shifted.max(1)
+        let doubling = 1u64.checked_shl(attempt).unwrap_or(u64::MAX);
+        self.backoff_base.saturating_mul(doubling).min(self.backoff_cap).max(1)
     }
 
     /// Builder: sets the fallback mode.
     pub fn with_fallback(mut self, fallback: FallbackMode) -> Self {
         self.fallback = fallback;
-        self
-    }
-
-    /// Builder: sets the retry budget.
-    pub fn with_max_retries(mut self, max_retries: u32) -> Self {
-        self.max_retries = max_retries;
         self
     }
 
@@ -550,18 +540,6 @@ impl Supervisor {
     }
 }
 
-/// `u64::checked_shl` that saturates instead of wrapping (the std
-/// method returns `None` on overflow; backoff wants the cap).
-trait SaturatingShl {
-    fn saturating_shl(self, rhs: u32) -> Self;
-}
-
-impl SaturatingShl for u64 {
-    fn saturating_shl(self, rhs: u32) -> u64 {
-        self.checked_shl(rhs).unwrap_or(u64::MAX)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -577,6 +555,8 @@ mod tests {
         assert_eq!(p.backoff(200), 8, "huge attempts stay capped");
         let zero = RecoveryPolicy { backoff_base: 0, ..RecoveryPolicy::default() };
         assert_eq!(zero.backoff(0), 1, "never waits zero periods");
+        let wide = RecoveryPolicy { backoff_base: 1 << 30, backoff_cap: 1 << 40, ..zero };
+        assert_eq!(wide.backoff(34), 1 << 40, "bits shifted out saturate to the cap");
     }
 
     #[test]

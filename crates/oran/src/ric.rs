@@ -451,10 +451,11 @@ impl RicServer {
 
     /// One server round: drive a reactor turn (flush + readiness +
     /// reads), claim newly accepted sessions and subscribe them to KPIs,
-    /// then drain and decode every session's inbound frames. Sessions
-    /// whose link died are reaped (their queued traffic was drained
-    /// first — the [`Link::drain`] contract). Never blocks longer than
-    /// `timeout_ms` in the readiness wait.
+    /// then drain and decode every session's inbound frames. An
+    /// undecodable frame is dropped and its session kept; sessions whose
+    /// link died or whose stream lost its framing are reaped (their queued
+    /// traffic was drained first — the [`Link::drain`] contract). Never
+    /// blocks longer than `timeout_ms` in the readiness wait.
     pub fn poll(&mut self, timeout_ms: u32) -> RicServerRound {
         self.m_periods.inc();
         self.reactor.turn(timeout_ms);
@@ -494,6 +495,10 @@ impl RicServer {
                     // session — message damage is not session-fatal.
                     Ok(Some(_)) => {}
                     Ok(None) => break,
+                    // `decode` consumed the undecodable frame, so the
+                    // stream resyncs on the next one. A framing error (an
+                    // over-cap declared length) is left unconsumed: fatal.
+                    Err(OranError::Codec(_)) => {}
                     Err(_) => {
                         session_dead = true;
                         break;
@@ -745,6 +750,48 @@ mod tests {
         assert_eq!(snap.counter("edgebol_oran_ricserver_kpi_total"), Some(NODES as u64));
         assert_eq!(snap.counter("edgebol_oran_ricserver_acks_total"), Some(NODES as u64));
         assert!(snap.counter("edgebol_oran_ricserver_periods_total").unwrap_or(0) > 0);
+    }
+
+    #[test]
+    fn ric_server_keeps_a_session_through_one_undecodable_frame() {
+        use crate::transport::FramedTcp;
+        use std::time::{Duration, Instant};
+
+        let mut server = RicServer::bind("127.0.0.1:0", 1_000, Registry::disabled()).expect("bind");
+        let addr = server.local_addr().to_string();
+        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+        let node = std::thread::spawn(move || {
+            let mut tcp = FramedTcp::connect(&addr).expect("connect");
+            let mut buf = tcp.recv().expect("sub req");
+            match E2Codec::decode(&mut buf).expect("decode") {
+                Some(E2Message::SubscriptionRequest { ran_function, .. }) => {
+                    let resp = E2Message::SubscriptionResponse { ran_function };
+                    tcp.send(&E2Codec::encode(&resp)).expect("sub resp");
+                }
+                other => panic!("expected subscription, got {other:?}"),
+            }
+            // A complete one-byte E2 frame whose tag no message uses.
+            tcp.send(&[0, 0, 0, 1, 0xff]).expect("bad frame");
+            let kpi = E2Message::Indication(KpiReport {
+                t_ms: 1,
+                bs_power_mw: 5_000,
+                duty_milli: 0,
+                mean_mcs_centi: 0,
+            });
+            tcp.send(&E2Codec::encode(&kpi)).expect("kpi");
+            release_rx.recv().ok();
+        });
+
+        let deadline = Instant::now() + Duration::from_secs(2);
+        let (mut kpis, mut closed) = (0, 0);
+        while kpis < 1 && Instant::now() < deadline {
+            let round = server.poll(1);
+            kpis += round.kpis;
+            closed += round.closed;
+        }
+        assert_eq!((kpis, closed, server.session_count()), (1, 0, 1));
+        release_tx.send(()).ok();
+        node.join().expect("node thread");
     }
 
     /// Minimal blocking HTTP client for the ops tests: one GET, read to

@@ -21,6 +21,9 @@
 //! no process-global journal, so parallel test runs cannot
 //! cross-pollute each other.
 //!
+//! The crate also holds the workspace's one JSON module, [`json`]: the
+//! writers every renderer uses and the one reader.
+//!
 //! ```
 //! use edgebol_trace::{Journal, Layer};
 //!
