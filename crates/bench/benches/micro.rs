@@ -11,7 +11,7 @@ use edgebol_gp::{EvictStrategy, GaussianProcess, Kernel};
 use edgebol_linalg::{Cholesky, Mat};
 use edgebol_media::{Dataset, DetectorModel};
 use edgebol_oran::{E2Codec, E2Message, KpiReport};
-use edgebol_testbed::{Calibration, ControlInput, DesTestbed, FlowTestbed, Scenario};
+use edgebol_testbed::{Calibration, ControlInput, DesTestbed, Environment, FlowTestbed, Scenario};
 use std::hint::black_box;
 
 fn spd(n: usize) -> Mat {
@@ -127,6 +127,17 @@ fn bench_testbed(c: &mut Criterion) {
     let control = ControlInput::max_resources();
     c.bench_function("flow_steady_state_4_users", |b| {
         b.iter(|| flow.steady_state(black_box(&[30.0, 24.0, 19.2, 15.36]), &control))
+    });
+
+    // One whole flow-testbed period as a learning loop pays for it:
+    // context sensing, the steady state and the 60-scene mAP evaluation.
+    let slice = (0..).map(Scenario::fleet_slice).find(|s| s.num_users() == 3).unwrap();
+    let mut period = FlowTestbed::new(Calibration::fast(), slice, 1);
+    c.bench_function("flow_step_fleet_slice", |b| {
+        b.iter(|| {
+            period.observe_context();
+            period.step(black_box(&control))
+        })
     });
 
     c.bench_function("des_period_single_user_4s", |b| {

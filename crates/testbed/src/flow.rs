@@ -59,20 +59,26 @@ impl SteadyState {
 /// `E[1 / (1 + N)]` where `N` is the number of *other* users
 /// transmitting, each independently with probability `tau[j]` — the exact
 /// round-robin share factor. Poisson-binomial distribution by the
-/// standard O(n^2) DP.
-fn expected_inverse_share(tau: &[f64], i: usize) -> f64 {
+/// standard O(n^2) DP, updated in place in the caller's `pmf` scratch.
+///
+/// Each update walks `pmf` from the top index down, so `pmf[k - 1]` is
+/// still the previous round's when `pmf[k]` reads it. Every entry is the
+/// same sum of the same two products as a fresh-vector DP that starts from
+/// zeros: IEEE addition commutes, and `0.0 + x` is exact for `x >= 0`.
+fn expected_inverse_share(tau: &[f64], i: usize, pmf: &mut Vec<f64>) -> f64 {
     // pmf[k] = P(N = k) over the users j != i.
-    let mut pmf = vec![1.0];
+    pmf.clear();
+    pmf.push(1.0);
     for (j, &t) in tau.iter().enumerate() {
         if j == i {
             continue;
         }
-        let mut next = vec![0.0; pmf.len() + 1];
-        for (k, &p) in pmf.iter().enumerate() {
-            next[k] += p * (1.0 - t);
-            next[k + 1] += p * t;
+        let top = pmf.len() - 1;
+        pmf.push(pmf[top] * t);
+        for k in (1..=top).rev() {
+            pmf[k] = pmf[k] * (1.0 - t) + pmf[k - 1] * t;
         }
-        pmf = next;
+        pmf[0] *= 1.0 - t;
     }
     pmf.iter().enumerate().map(|(k, &p)| p / (k + 1) as f64).sum()
 }
@@ -169,8 +175,12 @@ impl FlowTestbed {
         let mut tx: Vec<f64> = vec![1.0; n];
         // Residence time (queueing + service) at the GPU per user.
         let mut res: Vec<f64> = vec![inf; n];
+        let mut tau = vec![0.0; n];
+        let mut pmf = Vec::with_capacity(n);
         for _ in 0..60 {
-            let tau: Vec<f64> = tx.iter().zip(&d).map(|(t, dd)| (t / dd).min(1.0)).collect();
+            for (t, (x, dd)) in tau.iter_mut().zip(tx.iter().zip(&d)) {
+                *t = (x / dd).min(1.0);
+            }
             for i in 0..n {
                 // Round-robin share while user i transmits: each other
                 // user is transmitting independently with probability
@@ -179,7 +189,7 @@ impl FlowTestbed {
                 // naive alpha / (1 + sum tau_{-i}) is Jensen-pessimistic
                 // and overestimates the worst user's transfer time by
                 // ~30% in heterogeneous scenarios.
-                let share = (alpha * expected_inverse_share(&tau, i)).min(alpha);
+                let share = (alpha * expected_inverse_share(&tau, i, &mut pmf)).min(alpha);
                 let new_tx = bits / (rate_sched[i] * share);
                 // GPU residence by approximate mean-value analysis for
                 // the closed network (Schweitzer AMVA): each user holds
@@ -282,8 +292,7 @@ impl Environment for FlowTestbed {
                 self.period_snrs.push(self.scenario.snr_db(i, self.period));
             }
         }
-        let snrs = self.period_snrs.clone();
-        let ss = self.steady_state(&snrs, control);
+        let ss = self.steady_state(&self.period_snrs, control);
         let delay =
             ss.worst_delay_s() * (1.0 + normal(&mut self.rng, 0.0, self.calib.delay_noise_rel));
         let map_seed = (self.period as u64).wrapping_mul(0x9E37_79B9) ^ 0xA5A5;
@@ -347,6 +356,41 @@ impl Environment for FlowTestbed {
 mod tests {
     use super::*;
     use crate::scenario::Scenario;
+    use proptest::prelude::*;
+
+    /// `expected_inverse_share` as it was before the in-place update: a
+    /// fresh `next` vector per other user.
+    fn expected_inverse_share_reference(tau: &[f64], i: usize) -> f64 {
+        let mut pmf = vec![1.0];
+        for (j, &t) in tau.iter().enumerate() {
+            if j == i {
+                continue;
+            }
+            let mut next = vec![0.0; pmf.len() + 1];
+            for (k, &p) in pmf.iter().enumerate() {
+                next[k] += p * (1.0 - t);
+                next[k + 1] += p * t;
+            }
+            pmf = next;
+        }
+        pmf.iter().enumerate().map(|(k, &p)| p / (k + 1) as f64).sum()
+    }
+
+    proptest! {
+        #[test]
+        fn expected_inverse_share_matches_reference_bit_for_bit(
+            tau in proptest::collection::vec(prop_oneof![Just(0.0), Just(1.0), 0.0f64..=1.0], 1..12),
+            pick in any::<usize>(),
+        ) {
+            // `i == tau.len()` skips no user.
+            let i = pick % (tau.len() + 1);
+            // A scratch buffer left dirty by an earlier call.
+            let mut pmf = vec![0.25; 3];
+            let new = expected_inverse_share(&tau, i, &mut pmf);
+            let old = expected_inverse_share_reference(&tau, i);
+            prop_assert_eq!(new.to_bits(), old.to_bits(), "{new} vs {old} at i {i}, tau {tau:?}");
+        }
+    }
 
     fn tb(scenario: Scenario) -> FlowTestbed {
         FlowTestbed::new(Calibration::default(), scenario, 42)
