@@ -446,6 +446,19 @@ impl EdgeBol {
         est.max(self.s0.len())
     }
 
+    /// A GP over `kernel` and `noise` with the configured observation cap
+    /// and eviction strategy.
+    fn new_gp(&self, kernel: Kernel, noise: f64) -> GaussianProcess {
+        let mut gp = GaussianProcess::new(kernel, noise);
+        if let Some(cap) = self.cfg.max_observations {
+            gp = gp.with_max_observations(cap);
+        }
+        if let Some(strategy) = self.cfg.gp_evict {
+            gp = gp.with_evict_strategy(strategy);
+        }
+        gp
+    }
+
     /// Freezes scaling, optionally fits hyperparameters, and replays the
     /// warm-up data into fresh GPs.
     fn build_gps(&mut self) {
@@ -521,14 +534,8 @@ impl EdgeBol {
         }
         let mut next = 0;
         let mut gps = kernels.map(|kernel| {
-            let mut gp = GaussianProcess::new(kernel, noises[next]);
+            let gp = self.new_gp(kernel, noises[next]);
             next += 1;
-            if let Some(cap) = self.cfg.max_observations {
-                gp = gp.with_max_observations(cap);
-            }
-            if let Some(strategy) = self.cfg.gp_evict {
-                gp = gp.with_evict_strategy(strategy);
-            }
             gp
         });
         // Replay warm-up observations.
@@ -717,17 +724,12 @@ impl EdgeBol {
         d.expect_end()?;
         // Rebuild the GPs exactly as `build_gps` would, but with the
         // stored (frozen) hyperparameters — never re-fit on restore.
-        let mut gps_vec = Vec::with_capacity(3);
-        for (kind, signal_var, ls, noise) in kernel_params {
-            let mut gp = GaussianProcess::new(Kernel::new(kind, signal_var, ls), noise);
-            if let Some(cap) = self.cfg.max_observations {
-                gp = gp.with_max_observations(cap);
-            }
-            if let Some(strategy) = self.cfg.gp_evict {
-                gp = gp.with_evict_strategy(strategy);
-            }
-            gps_vec.push(gp);
-        }
+        let gps_vec: Vec<_> = kernel_params
+            .into_iter()
+            .map(|(kind, signal_var, ls, noise)| {
+                self.new_gp(Kernel::new(kind, signal_var, ls), noise)
+            })
+            .collect();
         let Ok(mut gps): Result<[GaussianProcess; 3], _> = gps_vec.try_into() else {
             unreachable!("exactly three GPs were built");
         };

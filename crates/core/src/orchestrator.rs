@@ -73,8 +73,7 @@ use edgebol_ran::Mcs;
 use edgebol_testbed::{ControlInput, Environment};
 use edgebol_trace::{Journal, Layer};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 
 /// A scheduled constraint change: at period `t`, switch to
 /// `(d_max, rho_min)` — the Fig. 14 scenario.
@@ -193,6 +192,7 @@ struct OrchestratorMetrics {
     periods: Counter,
     step_seconds: Histogram,
     kpi_stale: Counter,
+    stale_frames: Counter,
     local_autonomy: Counter,
 }
 
@@ -225,6 +225,7 @@ impl OrchestratorMetrics {
             step_seconds: registry
                 .histogram("edgebol_core_step_latency_seconds", STEP_LATENCY_BOUNDS),
             kpi_stale: registry.counter("edgebol_core_kpi_stale_samples_total"),
+            stale_frames: registry.counter("edgebol_core_stale_frames_discarded_total"),
             local_autonomy: registry.counter("edgebol_core_local_autonomy_periods_total"),
             registry,
         }
@@ -261,6 +262,21 @@ fn intern_stage(name: &str) -> Option<&'static str> {
     KNOWN_STAGES.iter().find(|s| **s == name).copied()
 }
 
+/// The radio half of `control`: the policy the chain deploys.
+fn radio_policy(control: &ControlInput) -> RadioPolicy {
+    RadioPolicy { airtime: control.airtime, max_mcs: control.mcs_cap.index() as u8 }
+}
+
+/// `control` with its radio half replaced by `policy`, the one in force.
+fn in_force(control: &ControlInput, policy: RadioPolicy) -> ControlInput {
+    ControlInput {
+        resolution: control.resolution,
+        airtime: policy.airtime,
+        gpu_speed: control.gpu_speed,
+        mcs_cap: Mcs::clamped(policy.max_mcs as i64),
+    }
+}
+
 /// The orchestrator.
 pub struct Orchestrator {
     env: Box<dyn Environment>,
@@ -279,15 +295,13 @@ pub struct Orchestrator {
     transport: TransportKind,
     /// The fault schedule in force (disarmed and empty for [`Orchestrator::new`]).
     chaos: ChaosPlan,
-    /// The radio policy most recently enforced at the E2 node (written by
-    /// the node's apply hook, drained once per deployment).
-    enforced: Arc<Mutex<Option<RadioPolicy>>>,
-    /// Every policy the node's apply hook ever ran, stamped with the
-    /// period current when it fired — ground truth for "the enforced
-    /// policy never silently diverges from the last acknowledged one".
-    applied_log: Arc<Mutex<Vec<(usize, RadioPolicy)>>>,
-    /// The running period, readable from inside the apply hook.
-    period: Arc<AtomicUsize>,
+    /// The radio policy the E2 node most recently applied (recorded by
+    /// `poll_node`, drained once per deployment).
+    enforced: Option<RadioPolicy>,
+    /// Every policy the node ever applied, stamped with the period it was
+    /// applied in — ground truth for "the enforced policy never silently
+    /// diverges from the last acknowledged one".
+    applied_log: Vec<(usize, RadioPolicy)>,
     /// The last policy known to be enforced — the degraded-mode fallback
     /// when the control plane drops a message.
     last_enforced: Option<RadioPolicy>,
@@ -383,21 +397,7 @@ impl Orchestrator {
                 (a1_up.into(), a1_down.into(), e2_up.into(), e2_down.into())
             }
         };
-        let enforced = Arc::new(Mutex::new(None));
-        let applied_log = Arc::new(Mutex::new(Vec::new()));
-        let period = Arc::new(AtomicUsize::new(0));
-        let sink = enforced.clone();
-        let log = applied_log.clone();
-        let stamp = period.clone();
-        let node = E2Node::new(
-            e2_down,
-            Box::new(move |p| {
-                *sink.lock().unwrap_or_else(PoisonError::into_inner) = Some(p);
-                log.lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .push((stamp.load(Ordering::SeqCst), p));
-            }),
-        );
+        let node = E2Node::new(e2_down);
         let nonrt = NonRtRic::new(a1_up);
         let mut nearrt =
             NearRtRic::new(plan.wrap(a1_down, LinkId::A1), plan.wrap(e2_up, LinkId::E2));
@@ -412,9 +412,8 @@ impl Orchestrator {
             node,
             transport,
             chaos: plan,
-            enforced,
-            applied_log,
-            period,
+            enforced: None,
+            applied_log: Vec::new(),
             last_enforced: None,
             supervisor,
             local_autonomy_periods: 0,
@@ -428,7 +427,7 @@ impl Orchestrator {
             journal: None,
         };
         // Complete the KPI subscription handshake...
-        at("KPI subscription handshake (node)", orch.node.poll())?;
+        at("KPI subscription handshake (node)", orch.poll_node())?;
         // ...and flush the SubscriptionResponse out of the xApp's E2
         // queue while the plan is still disarmed, so no bootstrap frame
         // lingers where the fault schedule could hit it.
@@ -513,10 +512,10 @@ impl Orchestrator {
         self.chaos.ledger()
     }
 
-    /// Every policy the E2 node's apply hook actually ran, stamped with
-    /// the period in which it fired, in application order.
+    /// Every policy the E2 node actually applied, stamped with the period
+    /// in which it applied it, in application order.
     pub fn enforcement_log(&self) -> Vec<(usize, RadioPolicy)> {
-        self.applied_log.lock().unwrap_or_else(PoisonError::into_inner).clone()
+        self.applied_log.clone()
     }
 
     /// The policy the environment is currently running under — the last
@@ -632,14 +631,12 @@ impl Orchestrator {
             e.str(stage);
             e.usize(*count);
         }
-        let log = self.applied_log.lock().expect("applied log poisoned");
-        e.usize(log.len());
-        for (t, p) in log.iter() {
+        e.usize(self.applied_log.len());
+        for (t, p) in &self.applied_log {
             e.usize(*t);
             e.f64(p.airtime);
             e.u8(p.max_mcs);
         }
-        drop(log);
         e.bytes(&self.supervisor.export_state());
         match self.agent.save_state() {
             Some(bytes) => {
@@ -714,7 +711,6 @@ impl Orchestrator {
             self.env.load_state(&bytes)?;
         }
         self.t = t;
-        self.period.store(t, Ordering::SeqCst);
         self.spec.d_max = d_max;
         self.spec.rho_min = rho_min;
         self.local_autonomy_periods = local_autonomy_periods;
@@ -722,8 +718,8 @@ impl Orchestrator {
         self.first_outage_period = first_outage_period;
         self.last_enforced = last_enforced;
         self.degraded_by_stage = degraded_by_stage;
-        *self.applied_log.lock().expect("applied log poisoned") = applied_log;
-        *self.enforced.lock().expect("enforced slot poisoned") = None;
+        self.applied_log = applied_log;
+        self.enforced = None;
         Ok(())
     }
 
@@ -736,17 +732,31 @@ impl Orchestrator {
             .inc();
     }
 
+    /// Polls the E2 node and records every policy it applied, stamped
+    /// with the running period. Every node poll goes through here. It
+    /// records before it propagates the poll's error: a policy the node
+    /// applied just before the link died is the one the outage runs under
+    /// (see `on_session_lost`).
+    fn poll_node(&mut self) -> Result<(), OranError> {
+        let polled = self.node.poll();
+        for p in self.node.take_applied() {
+            self.enforced = Some(p);
+            self.applied_log.push((self.t, p));
+        }
+        polled
+    }
+
     /// Drives one policy document through rApp → A1 → xApp → E2 → node
     /// and back. Any hop may fail; the caller decides whether the error
     /// is absorbable.
     fn push_policy_through_chain(&mut self, policy: RadioPolicy) -> Result<(), OrchestratorError> {
         at("A1 put (rApp->xApp)", self.nonrt.put_policy(policy))?;
         at("near-RT poll (A1->E2)", self.nearrt.poll())?;
-        at("node poll (apply+ack)", self.node.poll())?;
+        at("node poll (apply+ack)", self.poll_node())?;
         at("near-RT poll (ack->A1)", self.nearrt.poll())?;
         // Feedback may legitimately be missing under fault injection (a
-        // dropped ack or feedback frame); enforcement ground truth comes
-        // from the node-side apply hook, not from this poll.
+        // dropped ack or feedback frame); enforcement ground truth is what
+        // the node applied, not this poll.
         let _events = at("non-RT poll (feedback)", self.nonrt.poll())?;
         Ok(())
     }
@@ -770,16 +780,15 @@ impl Orchestrator {
         &mut self,
         control: &ControlInput,
     ) -> Result<ControlInput, OrchestratorError> {
-        let policy =
-            RadioPolicy { airtime: control.airtime, max_mcs: control.mcs_cap.index() as u8 };
+        let policy = radio_policy(control);
         let mut degraded_at: Option<&'static str> = None;
         match self.push_policy_through_chain(policy) {
             Ok(()) => {}
             Err(e) if e.is_recoverable() => degraded_at = Some(e.stage()),
             Err(e) => return Err(e),
         }
-        // Drain this deployment's enforcement feedback, if it arrived.
-        let fresh = self.enforced.lock().unwrap_or_else(PoisonError::into_inner).take();
+        // Drain this deployment's enforcement, if it reached the node.
+        let fresh = self.enforced.take();
         if fresh.is_none() && degraded_at.is_none() {
             // The chain reported success yet nothing reached the node:
             // the policy was silently lost (a dropped/held frame rather
@@ -791,28 +800,14 @@ impl Orchestrator {
             // whatever combination of error and loss produced it.
             self.note_degraded(stage);
         }
-        let applied = match fresh.or(self.last_enforced) {
-            Some(p) => p,
-            None => {
-                // Nothing ever enforced: mirror the E2 ControlRequest
-                // milli-unit quantization (airtime_milli: u16) locally
-                // so the trace stays consistent with what the chain
-                // would have delivered. (A1 itself round-trips f64
-                // airtime bit-exactly; the quantization happens at the
-                // E2 hop.) The degraded event is already counted above.
-                RadioPolicy {
-                    airtime: (policy.airtime * 1000.0).round() / 1000.0,
-                    max_mcs: policy.max_mcs,
-                }
-            }
-        };
+        // Before anything was ever enforced, apply the E2 ControlRequest's
+        // milli-unit quantization locally so the trace stays consistent
+        // with what the chain would have delivered. (A1 itself round-trips
+        // f64 airtime bit-exactly; the quantization happens at the E2
+        // hop.) The degraded event is already counted above.
+        let applied = fresh.or(self.last_enforced).unwrap_or_else(|| policy.quantized());
         self.last_enforced = Some(applied);
-        Ok(ControlInput {
-            resolution: control.resolution,
-            airtime: applied.airtime,
-            gpu_speed: control.gpu_speed,
-            mcs_cap: Mcs::clamped(applied.max_mcs as i64),
-        })
+        Ok(in_force(control, applied))
     }
 
     /// Routes a BS power reading through the E2 indication path and back
@@ -891,10 +886,6 @@ impl Orchestrator {
         }
     }
 
-    /// Reports a session loss to the supervisor and reconciles ground
-    /// truth: the node may have applied this period's policy *before*
-    /// the link died, in which case the outage runs under that policy,
-    /// not the previous one.
     /// Marks the current period as the start of the outage window (at
     /// most once per run) and journals the transition.
     fn note_outage_start(&mut self, cause: &'static str) {
@@ -904,6 +895,10 @@ impl Orchestrator {
         }
     }
 
+    /// Reports a session loss to the supervisor and reads what the node
+    /// applied: the node may have applied this period's policy *before*
+    /// the link died, in which case the outage runs under that policy,
+    /// not the previous one.
     fn on_session_lost(&mut self, e: &OrchestratorError) {
         self.note_outage_start("session loss");
         if let OrchestratorError::ControlPlane { stage, source } = e {
@@ -914,7 +909,7 @@ impl Orchestrator {
             );
             self.supervisor.on_connection_lost(link, self.t as u64);
         }
-        if let Some(p) = self.enforced.lock().unwrap_or_else(PoisonError::into_inner).take() {
+        if let Some(p) = self.enforced.take() {
             self.last_enforced = Some(p);
         }
     }
@@ -927,19 +922,10 @@ impl Orchestrator {
         self.note_outage_start("local autonomy");
         self.local_autonomy_periods += 1;
         self.metrics.local_autonomy.inc();
-        let applied = self.last_enforced.unwrap_or(RadioPolicy {
-            // Same milli-unit quantization as the bootstrap fallback in
-            // `deploy_radio_policy`.
-            airtime: (wanted.airtime * 1000.0).round() / 1000.0,
-            max_mcs: wanted.mcs_cap.index() as u8,
-        });
+        // The same quantized bootstrap fallback as `deploy_radio_policy`.
+        let applied = self.last_enforced.unwrap_or_else(|| radio_policy(wanted).quantized());
         self.last_enforced = Some(applied);
-        ControlInput {
-            resolution: wanted.resolution,
-            airtime: applied.airtime,
-            gpu_speed: wanted.gpu_speed,
-            mcs_cap: Mcs::clamped(applied.max_mcs as i64),
-        }
+        in_force(wanted, applied)
     }
 
     /// Outage keepalive: one receive attempt per link, discarding
@@ -950,12 +936,7 @@ impl Orchestrator {
     /// deterministically.
     fn tick_outage_links(&mut self) {
         let discarded = self.nearrt.probe_links();
-        if discarded > 0 {
-            self.metrics
-                .registry
-                .counter("edgebol_core_stale_frames_discarded_total")
-                .add(discarded as u64);
-        }
+        self.metrics.stale_frames.add(discarded as u64);
     }
 
     /// One resync attempt: drain-and-discard the dead session's frames
@@ -971,16 +952,11 @@ impl Orchestrator {
         let mut discarded = self.nearrt.reset_session()?;
         discarded += self.node.reset_session()?;
         discarded += self.nonrt.reset_session()?;
-        if discarded > 0 {
-            self.metrics
-                .registry
-                .counter("edgebol_core_stale_frames_discarded_total")
-                .add(discarded as u64);
-        }
+        self.metrics.stale_frames.add(discarded as u64);
         // 2. Re-handshake the KPI subscription (the node dropped its
         // subscription with the session).
         self.nearrt.subscribe_kpis(1_000)?;
-        self.node.poll()?;
+        self.poll_node()?;
         self.nearrt.poll()?;
         if !self.node.is_subscribed() {
             return Err(OranError::Handshake(
@@ -992,13 +968,13 @@ impl Orchestrator {
         if let Some(p) = self.last_enforced {
             self.nonrt.put_policy(p)?;
             self.nearrt.poll()?;
-            self.node.poll()?;
+            self.poll_node()?;
             self.nearrt.poll()?;
             self.nonrt.poll()?;
             // The re-push is session bootstrap, not a period deployment:
-            // drain the enforcement sink so the next deploy's freshness
-            // check is not confused.
-            let _ = self.enforced.lock().unwrap_or_else(PoisonError::into_inner).take();
+            // forget it so the next deploy's freshness check is not
+            // confused.
+            self.enforced = None;
         }
         Ok(())
     }
@@ -1090,8 +1066,6 @@ impl Orchestrator {
         // so the loop body can keep taking `&mut self`.
         let journal = self.journal.clone();
         let mut span = journal.as_deref().map(|j| j.span(self.t as u64));
-        // Stamp the period for the node's apply hook (enforcement log).
-        self.period.store(self.t, Ordering::SeqCst);
         // Scheduled constraint changes (operator reconfiguration).
         for &(at_t, d_max, rho_min) in &self.schedule {
             if at_t == self.t {

@@ -840,14 +840,7 @@ impl Fleet {
         slot.spawned_at = t;
         slot.warm = warm;
         slot.donor = if warm { donor_id } else { None };
-        match Orchestrator::new_with_transport(
-            Box::new(env),
-            Box::new(agent),
-            spec,
-            cfg.chaos.clone(),
-            Registry::disabled(),
-            TransportKind::Poll,
-        ) {
+        match Self::runner(cfg, env, agent, spec) {
             Ok(orch) => {
                 slot.runner = Some(Mutex::new(orch));
                 slot.phase = SlicePhase::Running;
@@ -914,6 +907,24 @@ impl Fleet {
         let spec = ProblemSpec::new(1.0, 8.0, cfg.d_max, cfg.rho_min);
         let agent = EdgeBolAgent::quick_for_tests(&spec, env_seed.wrapping_add(1));
         (env, agent, spec, unit_ctx)
+    }
+
+    /// A slice's runner over `env` and `agent`: the in-process poll
+    /// transport under the fleet's fault schedule, without metrics.
+    fn runner(
+        cfg: &FleetConfig,
+        env: FlowTestbed,
+        agent: EdgeBolAgent,
+        spec: ProblemSpec,
+    ) -> Result<Orchestrator, OrchestratorError> {
+        Orchestrator::new_with_transport(
+            Box::new(env),
+            Box::new(agent),
+            spec,
+            cfg.chaos.clone(),
+            Registry::disabled(),
+            TransportKind::Poll,
+        )
     }
 
     /// Writes one slice's checkpoint: driver-side lifecycle meta plus
@@ -983,15 +994,8 @@ impl Fleet {
         d.expect_end()?;
 
         let (env, agent, spec, unit_ctx) = Self::fresh_parts(cfg, slot.id);
-        let mut orch = Orchestrator::new_with_transport(
-            Box::new(env),
-            Box::new(agent),
-            spec,
-            cfg.chaos.clone(),
-            Registry::disabled(),
-            TransportKind::Poll,
-        )
-        .map_err(|e| CkptError::BadValue(format!("control plane rebuild failed: {e}")))?;
+        let mut orch = Self::runner(cfg, env, agent, spec)
+            .map_err(|e| CkptError::BadValue(format!("control plane rebuild failed: {e}")))?;
         orch.restore_state(&orch_bytes)?;
 
         slot.runner = Some(Mutex::new(orch));
@@ -1020,14 +1024,7 @@ impl Fleet {
         cell_load: &mut [f64],
     ) {
         let (env, agent, spec, unit_ctx) = Self::fresh_parts(cfg, slot.id);
-        match Orchestrator::new_with_transport(
-            Box::new(env),
-            Box::new(agent),
-            spec,
-            cfg.chaos.clone(),
-            Registry::disabled(),
-            TransportKind::Poll,
-        ) {
+        match Self::runner(cfg, env, agent, spec) {
             Ok(orch) => {
                 slot.runner = Some(Mutex::new(orch));
                 slot.trace = Trace::default();

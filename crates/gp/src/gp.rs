@@ -326,27 +326,6 @@ impl GaussianProcess {
         (means, stds)
     }
 
-    /// Draws one sample of the posterior *marginals* at the given points:
-    /// `f_j ~ N(mu(z_j), sigma^2(z_j))` independently per point.
-    ///
-    /// This is the cheap variant of posterior sampling used by
-    /// Thompson-sampling acquisitions over large candidate sets, where the
-    /// full joint draw (an `m x m` Cholesky) would dominate the period
-    /// budget. Ignoring cross-candidate correlations makes the draw
-    /// *more* explorative, which is benign for an acquisition rule.
-    pub fn sample_marginals<R: rand::Rng + ?Sized>(
-        &mut self,
-        points: &[f64],
-        rng: &mut R,
-    ) -> Vec<f64> {
-        let (means, stds) = self.predict_batch(points);
-        means
-            .into_iter()
-            .zip(stds)
-            .map(|(m, s)| m + s * edgebol_linalg::stats::normal01(rng))
-            .collect()
-    }
-
     /// Log marginal likelihood of the retained data under the current
     /// hyperparameters:
     /// `log p(y|Z) = -1/2 y^T alpha - 1/2 log det(K + zeta^2 I) - n/2 log(2 pi)`.
@@ -558,22 +537,6 @@ mod tests {
     fn lml_requires_data() {
         let mut gp = toy_gp();
         assert!(matches!(gp.log_marginal_likelihood(), Err(GpError::Empty)));
-    }
-
-    #[test]
-    fn sample_marginals_statistics_match_posterior() {
-        use rand::SeedableRng;
-        let mut gp = toy_gp();
-        gp.observe(&[0.2], 1.0).unwrap();
-        gp.observe(&[0.8], -1.0).unwrap();
-        let q = [0.5];
-        let (m, s) = gp.predict(&q);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
-        let draws: Vec<f64> = (0..5000).map(|_| gp.sample_marginals(&q, &mut rng)[0]).collect();
-        let mean = edgebol_linalg::vecops::mean(&draws);
-        let std = edgebol_linalg::vecops::variance(&draws).sqrt();
-        assert!((mean - m).abs() < 0.05, "sample mean {mean} vs {m}");
-        assert!((std - s).abs() < 0.05, "sample std {std} vs {s}");
     }
 
     #[test]

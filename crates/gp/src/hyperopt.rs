@@ -1,14 +1,11 @@
-//! Hyperparameter fitting by log-marginal-likelihood maximization.
+//! The optimizer behind hyperparameter fitting by log-marginal-likelihood
+//! maximization.
 //!
 //! The paper (§5, "Kernel selection") fits length-scales and noise variance
 //! "by maximizing the likelihood estimation over prior data" and freezes
-//! them during execution. We do the same: a derivative-free Nelder–Mead
-//! search over log-parameters (so positivity is automatic), restarted from
-//! several initial simplexes to dodge local optima.
-
-use crate::{GaussianProcess, GpError, Kernel, KernelKind};
-use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
+//! them during execution. EdgeBOL does the same with one derivative-free
+//! Nelder–Mead search over log-parameters (so positivity is automatic),
+//! from a single start.
 
 /// Options for the Nelder–Mead optimizer.
 #[derive(Debug, Clone)]
@@ -129,150 +126,6 @@ pub fn nelder_mead(
     (simplex[besti].clone(), fvals[besti])
 }
 
-/// Configuration of the hyperparameter fit.
-#[derive(Debug, Clone)]
-pub struct HyperFitConfig {
-    /// Kernel family to fit.
-    pub kind: KernelKind,
-    /// Number of random multistarts (besides the heuristic start).
-    pub restarts: usize,
-    /// RNG seed for the restarts.
-    pub seed: u64,
-    /// Per-start Nelder–Mead options.
-    pub nm: NelderMeadOptions,
-    /// Lower/upper bounds on log10 length-scales.
-    pub log_ls_bounds: (f64, f64),
-    /// Lower/upper bounds on log10 noise variance.
-    pub log_noise_bounds: (f64, f64),
-}
-
-impl Default for HyperFitConfig {
-    fn default() -> Self {
-        HyperFitConfig {
-            kind: KernelKind::Matern32,
-            restarts: 4,
-            seed: 0xEDBE,
-            nm: NelderMeadOptions::default(),
-            log_ls_bounds: (-2.0, 1.5),
-            log_noise_bounds: (-6.0, 0.0),
-        }
-    }
-}
-
-/// Result of [`fit_hyperparams`].
-#[derive(Debug, Clone)]
-pub struct FitResult {
-    /// The fitted kernel (signal variance and per-dimension length-scales).
-    pub kernel: Kernel,
-    /// The fitted observation-noise variance.
-    pub noise_var: f64,
-    /// The achieved log marginal likelihood.
-    pub log_marginal: f64,
-}
-
-/// Fits kernel hyperparameters (ARD length-scales, signal variance, noise
-/// variance) to seed data by maximizing the log marginal likelihood.
-///
-/// * `xs` — flat row-major inputs (`n x dim`),
-/// * `ys` — targets of length `n`.
-///
-/// Internally the parameter vector is
-/// `[log10 l_1, .., log10 l_dim, log10 sigma_f^2, log10 zeta^2]`, softly
-/// clamped to the configured bounds.
-///
-/// # Errors
-/// Returns [`GpError::Empty`] for empty data and
-/// [`GpError::DimensionMismatch`] when `xs.len()` is not `n * dim`.
-pub fn fit_hyperparams(
-    xs: &[f64],
-    ys: &[f64],
-    dim: usize,
-    cfg: &HyperFitConfig,
-) -> Result<FitResult, GpError> {
-    if ys.is_empty() {
-        return Err(GpError::Empty);
-    }
-    if xs.len() != ys.len() * dim {
-        return Err(GpError::DimensionMismatch {
-            expected: ys.len() * dim,
-            got: xs.len() / dim.max(1),
-        });
-    }
-    let yvar = edgebol_linalg::vecops::variance(ys).max(1e-8);
-
-    let clampp = |v: f64, (lo, hi): (f64, f64)| v.max(lo).min(hi);
-    let objective = |p: &[f64]| -> f64 {
-        // Negative LML (we minimize).
-        let ls: Vec<f64> =
-            p[..dim].iter().map(|&v| 10f64.powf(clampp(v, cfg.log_ls_bounds))).collect();
-        let sig = 10f64.powf(clampp(p[dim], (-4.0, 4.0)));
-        let noise = 10f64.powf(clampp(p[dim + 1], cfg.log_noise_bounds));
-        let kernel = Kernel::new(cfg.kind, sig * yvar, ls);
-        let mut gp = GaussianProcess::new(kernel, noise * yvar);
-        for (i, &y) in ys.iter().enumerate() {
-            if gp.observe(&xs[i * dim..(i + 1) * dim], y).is_err() {
-                return f64::INFINITY;
-            }
-        }
-        match gp.log_marginal_likelihood() {
-            Ok(l) if l.is_finite() => -l,
-            _ => f64::INFINITY,
-        }
-    };
-
-    // Heuristic start: length-scale ~ 1/4 of the per-dimension input range,
-    // unit (relative) signal variance, 1% (relative) noise.
-    let n = ys.len();
-    let mut start = Vec::with_capacity(dim + 2);
-    for k in 0..dim {
-        let mut lo = f64::INFINITY;
-        let mut hi = f64::NEG_INFINITY;
-        for i in 0..n {
-            let v = xs[i * dim + k];
-            lo = lo.min(v);
-            hi = hi.max(v);
-        }
-        let range = (hi - lo).max(1e-3);
-        start.push((range / 4.0).log10());
-    }
-    start.push(0.0); // log10 relative signal variance
-    start.push(-2.0); // log10 relative noise variance
-
-    let mut best_p = start.clone();
-    let mut best_f = f64::INFINITY;
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    for restart in 0..=cfg.restarts {
-        let x0: Vec<f64> = if restart == 0 {
-            start.clone()
-        } else {
-            let mut v = start.clone();
-            for (k, item) in v.iter_mut().enumerate() {
-                let jitter: f64 = rng.random_range(-1.0..1.0);
-                *item += jitter;
-                if k < dim {
-                    *item = clampp(*item, cfg.log_ls_bounds);
-                }
-            }
-            v
-        };
-        let (p, fv) = nelder_mead(&objective, &x0, &cfg.nm);
-        if fv < best_f {
-            best_f = fv;
-            best_p = p;
-        }
-    }
-
-    let ls: Vec<f64> =
-        best_p[..dim].iter().map(|&v| 10f64.powf(clampp(v, cfg.log_ls_bounds))).collect();
-    let sig = 10f64.powf(clampp(best_p[dim], (-4.0, 4.0))) * yvar;
-    let noise = 10f64.powf(clampp(best_p[dim + 1], cfg.log_noise_bounds)) * yvar;
-    Ok(FitResult {
-        kernel: Kernel::new(cfg.kind, sig, ls),
-        noise_var: noise,
-        log_marginal: -best_f,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -292,52 +145,5 @@ mod tests {
         let opts = NelderMeadOptions { max_evals: 2000, ..Default::default() };
         let (_, fv) = nelder_mead(f, &[-1.2, 1.0], &opts);
         assert!(fv < 1e-2, "rosenbrock residual {fv}");
-    }
-
-    #[test]
-    fn fit_recovers_sensible_lengthscale() {
-        // Data from a function varying on scale ~0.2; the fitted
-        // length-scale should be clearly below 10 and above 0.01.
-        let n = 30;
-        let xs: Vec<f64> = (0..n).map(|i| i as f64 / (n - 1) as f64).collect();
-        let ys: Vec<f64> = xs.iter().map(|&x| (x * 10.0).sin()).collect();
-        let cfg = HyperFitConfig { restarts: 2, ..Default::default() };
-        let fit = fit_hyperparams(&xs, &ys, 1, &cfg).unwrap();
-        let ls = fit.kernel.lengthscales()[0];
-        assert!(ls > 0.01 && ls < 3.0, "lengthscale {ls}");
-        assert!(fit.noise_var < 0.5, "noise {}", fit.noise_var);
-        // The fit must beat an absurd kernel on the same data.
-        let mut bad = GaussianProcess::new(Kernel::matern32(1.0, vec![1e-2]), 1e-6);
-        for (i, &y) in ys.iter().enumerate() {
-            bad.observe(&xs[i..=i], y).unwrap();
-        }
-        assert!(fit.log_marginal > bad.log_marginal_likelihood().unwrap());
-    }
-
-    #[test]
-    fn fit_rejects_empty_and_mismatched() {
-        let cfg = HyperFitConfig::default();
-        assert!(matches!(fit_hyperparams(&[], &[], 1, &cfg), Err(GpError::Empty)));
-        assert!(matches!(
-            fit_hyperparams(&[1.0, 2.0, 3.0], &[0.0, 0.0], 2, &cfg),
-            Err(GpError::DimensionMismatch { .. })
-        ));
-    }
-
-    #[test]
-    fn fitted_gp_predicts_held_out_points() {
-        let n = 40;
-        let xs: Vec<f64> = (0..n).map(|i| i as f64 / (n - 1) as f64).collect();
-        let f = |x: f64| 2.0 * (x * 6.0).cos() + 0.5;
-        let ys: Vec<f64> = xs.iter().map(|&x| f(x)).collect();
-        let cfg = HyperFitConfig { restarts: 2, ..Default::default() };
-        let fit = fit_hyperparams(&xs, &ys, 1, &cfg).unwrap();
-        let mut gp = GaussianProcess::new(fit.kernel, fit.noise_var);
-        for (i, &y) in ys.iter().enumerate() {
-            gp.observe(&xs[i..=i], y).unwrap();
-        }
-        let x_test = 0.512;
-        let (m, _) = gp.predict(&[x_test]);
-        assert!((m - f(x_test)).abs() < 0.15, "prediction {m} vs {}", f(x_test));
     }
 }

@@ -180,11 +180,6 @@ impl Mat {
             self[(i, i)] += value;
         }
     }
-
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
-    }
 }
 
 impl Index<(usize, usize)> for Mat {
@@ -318,11 +313,5 @@ mod tests {
         assert_eq!(m[(0, 0)], 3.0);
         assert_eq!(m[(1, 1)], 3.0);
         assert_eq!(m[(0, 1)], 0.0);
-    }
-
-    #[test]
-    fn frobenius_norm_known_value() {
-        let m = Mat::from_rows(&[&[3.0, 0.0], &[0.0, 4.0]]);
-        assert!((m.frobenius_norm() - 5.0).abs() < 1e-12);
     }
 }

@@ -38,12 +38,6 @@ pub fn rot(c: f64, s: f64, a: &mut [f64], b: &mut [f64]) {
     }
 }
 
-/// Euclidean norm.
-#[inline]
-pub fn norm2(a: &[f64]) -> f64 {
-    dot(a, a).sqrt()
-}
-
 /// Squared Euclidean distance between two points.
 ///
 /// # Panics
@@ -95,22 +89,6 @@ pub fn argmin(a: &[f64]) -> Option<usize> {
     best.map(|(i, _)| i)
 }
 
-/// Index of the maximum value (first occurrence). `None` when empty or all
-/// values are NaN.
-pub fn argmax(a: &[f64]) -> Option<usize> {
-    let mut best: Option<(usize, f64)> = None;
-    for (i, &v) in a.iter().enumerate() {
-        if v.is_nan() {
-            continue;
-        }
-        match best {
-            Some((_, bv)) if bv >= v => {}
-            _ => best = Some((i, v)),
-        }
-    }
-    best.map(|(i, _)| i)
-}
-
 /// Clamps `v` into `[lo, hi]`.
 #[inline]
 pub fn clamp(v: f64, lo: f64, hi: f64) -> f64 {
@@ -143,8 +121,7 @@ mod tests {
     }
 
     #[test]
-    fn norms_and_distances() {
-        assert!((norm2(&[3.0, 4.0]) - 5.0).abs() < 1e-12);
+    fn distances() {
         assert_eq!(dist2(&[0.0, 0.0], &[3.0, 4.0]), 25.0);
     }
 
@@ -157,12 +134,10 @@ mod tests {
     }
 
     #[test]
-    fn argmin_argmax() {
+    fn argmin_skips_nan() {
         assert_eq!(argmin(&[3.0, 1.0, 2.0]), Some(1));
-        assert_eq!(argmax(&[3.0, 1.0, 2.0]), Some(0));
         assert_eq!(argmin(&[]), None);
         assert_eq!(argmin(&[f64::NAN, 2.0]), Some(1));
-        assert_eq!(argmax(&[f64::NAN, f64::NAN]), None);
     }
 
     #[test]

@@ -9,6 +9,7 @@
 //!
 //! Frame layout: `u32 big-endian payload length | u8 tag | payload`.
 
+use crate::a1::RadioPolicy;
 use crate::OranError;
 
 /// RAN function id for the KPI-monitoring service model.
@@ -40,6 +41,26 @@ pub enum E2Message {
     ControlRequest { airtime_milli: u16, max_mcs: u8 },
     /// Node → RIC: control acknowledged.
     ControlAck,
+}
+
+impl RadioPolicy {
+    /// The airtime as a `ControlRequest` carries it: milli-units,
+    /// rounded to the nearest.
+    pub(crate) fn airtime_milli(&self) -> u16 {
+        (self.airtime * 1000.0).round() as u16
+    }
+
+    /// The policy an E2 node applies for a `ControlRequest` with these
+    /// fields.
+    pub(crate) fn from_control(airtime_milli: u16, max_mcs: u8) -> Self {
+        RadioPolicy { airtime: f64::from(airtime_milli) / 1000.0, max_mcs }
+    }
+
+    /// This policy as an E2 node applies it: the round trip through a
+    /// `ControlRequest`'s milli-unit airtime.
+    pub fn quantized(self) -> Self {
+        Self::from_control(self.airtime_milli(), self.max_mcs)
+    }
 }
 
 /// Message tags on the wire (crate-visible so the chaos layer can
@@ -249,6 +270,18 @@ mod tests {
             let mut buf = want.to_vec();
             assert_eq!(E2Codec::decode(&mut buf).unwrap().as_ref(), Some(m));
             assert!(buf.is_empty(), "{m:?} left residue");
+        }
+    }
+
+    /// The round trip through `u16` milli-units equals rounding in `f64`
+    /// for every airtime a policy may carry, to the bit.
+    #[test]
+    fn quantized_airtime_equals_rounding_in_f64() {
+        for k in 0..=1_000_000 {
+            let airtime = k as f64 / 1e6;
+            let p = RadioPolicy { airtime, max_mcs: 9 }.quantized();
+            assert_eq!(p.airtime.to_bits(), ((airtime * 1000.0).round() / 1000.0).to_bits());
+            assert_eq!(p.max_mcs, 9);
         }
     }
 

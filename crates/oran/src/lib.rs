@@ -31,10 +31,10 @@
 //!   recovery layers carry over unchanged.
 //! * [`ric`] — the actors: [`ric::NonRtRic`] (policy service + data
 //!   collector rApps), [`ric::NearRtRic`] (A1⇄E2 translation xApp) and
-//!   [`ric::E2Node`] (the O-eNB's E2 agent, applying policies through a
-//!   caller-provided hook and emitting KPI indications), plus
-//!   [`ric::RicServer`] — the multi-node accept loop pairing one reactor
-//!   with many E2 sessions.
+//!   [`ric::E2Node`] (the O-eNB's E2 agent: applies policies, hands
+//!   them out through [`ric::E2Node::take_applied`] and emits KPI
+//!   indications), plus [`ric::RicServer`] — the multi-node accept loop
+//!   pairing one reactor with many E2 sessions.
 //!
 //! Everything is synchronous and poll-driven, hence deterministic and
 //! testable; the networked example wraps the same actors in threads.

@@ -12,7 +12,6 @@ use crate::reactor::{Reactor, ReactorLink, ReactorListener};
 use crate::transport::{Endpoint, Link};
 use crate::OranError;
 use edgebol_metrics::{Counter, Gauge, Registry};
-use std::collections::HashMap;
 
 /// Events the non-RT RIC surfaces to the learning agent.
 #[derive(Debug, Clone, PartialEq)]
@@ -33,16 +32,12 @@ pub enum RicEvent {
 pub struct NonRtRic<L: Link = Endpoint> {
     a1: L,
     next_policy_seq: u64,
-    /// Deployed policies awaiting feedback.
-    pending: HashMap<PolicyId, RadioPolicy>,
-    /// Policies confirmed enforced.
-    enforced: HashMap<PolicyId, RadioPolicy>,
 }
 
 impl<L: Link> NonRtRic<L> {
     /// Creates the RIC over its A1 endpoint toward the near-RT RIC.
     pub fn new(a1: L) -> Self {
-        NonRtRic { a1, next_policy_seq: 0, pending: HashMap::new(), enforced: HashMap::new() }
+        NonRtRic { a1, next_policy_seq: 0 }
     }
 
     /// Deploys a radio policy; returns its instance id.
@@ -58,18 +53,12 @@ impl<L: Link> NonRtRic<L> {
             policy,
         };
         self.a1.send(msg.to_json().into_bytes())?;
-        self.pending.insert(id.clone(), policy);
         Ok(id)
     }
 
-    /// Number of policies confirmed enforced so far.
-    pub fn enforced_count(&self) -> usize {
-        self.enforced.len()
-    }
-
     /// Resync step after a session loss: drains and discards stale A1
-    /// frames from the dead session and forgets deployed-but-unconfirmed
-    /// policies (the supervisor re-pushes the last acknowledged policy
+    /// frames from the dead session, whose feedback no longer confirms
+    /// anything (the supervisor re-pushes the last acknowledged policy
     /// under a fresh id). Returns the number of frames discarded.
     ///
     /// # Errors
@@ -77,9 +66,7 @@ impl<L: Link> NonRtRic<L> {
     /// nothing was pending — the resync attempt fails and the supervisor
     /// backs off.
     pub fn reset_session(&mut self) -> Result<usize, OranError> {
-        let discarded = self.a1.drain()?.len();
-        self.pending.clear();
-        Ok(discarded)
+        Ok(self.a1.drain()?.len())
     }
 
     /// Drains A1 feedback and KPI samples.
@@ -93,13 +80,6 @@ impl<L: Link> NonRtRic<L> {
                 .map_err(|e| OranError::Codec(format!("non-UTF8 A1 frame: {e}")))?;
             match A1Message::from_json(text)? {
                 A1Message::Feedback { policy_id, status } => {
-                    if status == PolicyStatus::Enforced {
-                        if let Some(p) = self.pending.remove(&policy_id) {
-                            self.enforced.insert(policy_id.clone(), p);
-                        }
-                    } else {
-                        self.pending.remove(&policy_id);
-                    }
                     events.push(RicEvent::PolicyFeedback { policy_id, status });
                 }
                 A1Message::KpiSample { t_ms, bs_power_mw } => {
@@ -203,7 +183,7 @@ impl<A: Link, E: Link> NearRtRic<A, E> {
                         continue;
                     }
                     let ctrl = E2Message::ControlRequest {
-                        airtime_milli: (policy.airtime * 1000.0).round() as u16,
+                        airtime_milli: policy.airtime_milli(),
                         max_mcs: policy.max_mcs,
                     };
                     self.e2.send(E2Codec::encode(&ctrl))?;
@@ -248,28 +228,30 @@ impl<A: Link, E: Link> NearRtRic<A, E> {
     }
 }
 
-/// The O-eNB's E2 agent: applies control requests through a hook into the
-/// MAC (in this workspace, the testbed's scheduler) and emits KPI
-/// indications when asked.
+/// The O-eNB's E2 agent: applies control requests, keeping each applied
+/// policy until [`E2Node::take_applied`] hands it to the MAC's owner (in
+/// this workspace, the orchestrator driving the testbed's scheduler), and
+/// emits KPI indications when asked.
+#[derive(Debug)]
 pub struct E2Node<L: Link = Endpoint> {
     e2: L,
     rx_buf: Vec<u8>,
-    /// Applied radio policy hook.
-    apply: Box<dyn FnMut(RadioPolicy) + Send>,
+    /// Policies applied since the last [`E2Node::take_applied`].
+    applied: Vec<RadioPolicy>,
     /// Whether a KPI subscription is active.
     subscribed: bool,
 }
 
-impl<L: Link> std::fmt::Debug for E2Node<L> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("E2Node").field("subscribed", &self.subscribed).finish()
-    }
-}
-
 impl<L: Link> E2Node<L> {
-    /// Creates the agent with a policy-application hook.
-    pub fn new(e2: L, apply: Box<dyn FnMut(RadioPolicy) + Send>) -> Self {
-        E2Node { e2, rx_buf: Vec::new(), apply, subscribed: false }
+    /// Creates the agent over its E2 link.
+    pub fn new(e2: L) -> Self {
+        E2Node { e2, rx_buf: Vec::new(), applied: Vec::new(), subscribed: false }
+    }
+
+    /// The policies applied since the last call, in application order,
+    /// including those applied by a poll that went on to fail.
+    pub fn take_applied(&mut self) -> Vec<RadioPolicy> {
+        std::mem::take(&mut self.applied)
     }
 
     /// Whether a KPI subscription is active.
@@ -310,7 +292,7 @@ impl<L: Link> E2Node<L> {
                     self.e2.send(E2Codec::encode(&resp))?;
                 }
                 E2Message::ControlRequest { airtime_milli, max_mcs } => {
-                    (self.apply)(RadioPolicy { airtime: airtime_milli as f64 / 1000.0, max_mcs });
+                    self.applied.push(RadioPolicy::from_control(airtime_milli, max_mcs));
                     self.e2.send(E2Codec::encode(&E2Message::ControlAck))?;
                 }
                 other => {
@@ -341,7 +323,6 @@ impl<L: Link> E2Node<L> {
 /// single node, kept per-session here).
 #[derive(Debug)]
 struct E2Session {
-    id: u64,
     link: ReactorLink,
     rx_buf: Vec<u8>,
     subscribed: bool,
@@ -375,7 +356,6 @@ pub struct RicServer {
     reactor: Reactor,
     listener: ReactorListener,
     sessions: Vec<E2Session>,
-    next_session_id: u64,
     kpi_period_ms: u32,
     m_periods: Counter,
     m_kpis: Counter,
@@ -406,7 +386,6 @@ impl RicServer {
             reactor,
             listener,
             sessions: Vec::new(),
-            next_session_id: 0,
             kpi_period_ms,
             m_periods: metrics.counter("edgebol_oran_ricserver_periods_total"),
             m_kpis: metrics.counter("edgebol_oran_ricserver_kpi_total"),
@@ -466,21 +445,18 @@ impl RicServer {
                 report_period_ms: self.kpi_period_ms,
             };
             if link.send(E2Codec::encode(&sub)).is_ok() {
-                let id = self.next_session_id;
-                self.next_session_id += 1;
-                self.sessions.push(E2Session { id, link, rx_buf: Vec::new(), subscribed: false });
+                self.sessions.push(E2Session { link, rx_buf: Vec::new(), subscribed: false });
                 round.accepted += 1;
             }
         }
-        let mut dead = Vec::new();
-        for s in &mut self.sessions {
-            let mut session_dead = false;
+        self.sessions.retain_mut(|s| {
+            let mut live = true;
             loop {
                 match s.link.try_recv() {
                     Ok(Some(raw)) => s.rx_buf.extend_from_slice(&raw),
                     Ok(None) => break,
                     Err(_) => {
-                        session_dead = true;
+                        live = false;
                         break;
                     }
                 }
@@ -500,17 +476,14 @@ impl RicServer {
                     // over-cap declared length) is left unconsumed: fatal.
                     Err(OranError::Codec(_)) => {}
                     Err(_) => {
-                        session_dead = true;
+                        live = false;
                         break;
                     }
                 }
             }
-            if session_dead {
-                dead.push(s.id);
-            }
-        }
-        round.closed = dead.len();
-        self.sessions.retain(|s| !dead.contains(&s.id));
+            round.closed += usize::from(!live);
+            live
+        });
         self.m_kpis.add(round.kpis as u64);
         self.m_acks.add(round.acks as u64);
         self.m_closed.add(round.closed as u64);
@@ -524,7 +497,7 @@ impl RicServer {
     /// reap (their inbound side will report the close).
     pub fn broadcast_policy(&mut self, policy: RadioPolicy) -> usize {
         let ctrl = E2Message::ControlRequest {
-            airtime_milli: (policy.airtime * 1000.0).round() as u16,
+            airtime_milli: policy.airtime_milli(),
             max_mcs: policy.max_mcs,
         };
         let frame = E2Codec::encode(&ctrl);
@@ -541,55 +514,63 @@ impl RicServer {
 mod tests {
     use super::*;
     use crate::transport::duplex_pair;
-    use std::sync::{Arc, Mutex};
 
     /// Builds the full chain: NonRtRic =A1= NearRtRic =E2= E2Node.
-    fn chain() -> (NonRtRic, NearRtRic, E2Node, Arc<Mutex<Vec<RadioPolicy>>>) {
+    fn chain() -> (NonRtRic, NearRtRic, E2Node) {
         let (a1_up, a1_down) = duplex_pair();
         let (e2_up, e2_down) = duplex_pair();
-        let applied = Arc::new(Mutex::new(Vec::new()));
-        let applied2 = applied.clone();
-        let node = E2Node::new(e2_down, Box::new(move |p| applied2.lock().unwrap().push(p)));
-        (NonRtRic::new(a1_up), NearRtRic::new(a1_down, e2_up), node, applied)
+        (NonRtRic::new(a1_up), NearRtRic::new(a1_down, e2_up), E2Node::new(e2_down))
     }
 
     #[test]
     fn policy_flows_a1_to_e2_to_mac() {
-        let (mut nonrt, mut nearrt, mut node, applied) = chain();
+        let (mut nonrt, mut nearrt, mut node) = chain();
         let p = RadioPolicy { airtime: 0.35, max_mcs: 17 };
         let id = nonrt.put_policy(p).unwrap();
         nearrt.poll().unwrap(); // A1 -> E2
         node.poll().unwrap(); // E2 -> apply + ack
         nearrt.poll().unwrap(); // ack -> A1 feedback
         let events = nonrt.poll().unwrap();
-        assert_eq!(applied.lock().unwrap().as_slice(), &[p]);
+        assert_eq!(node.take_applied(), [p]);
         assert_eq!(
             events,
             vec![RicEvent::PolicyFeedback { policy_id: id, status: PolicyStatus::Enforced }]
         );
-        assert_eq!(nonrt.enforced_count(), 1);
     }
 
     #[test]
     fn invalid_policy_is_rejected_without_reaching_the_node() {
-        let (mut nonrt, mut nearrt, mut node, applied) = chain();
+        let (mut nonrt, mut nearrt, mut node) = chain();
         let bad = RadioPolicy { airtime: 1.5, max_mcs: 99 };
         let id = nonrt.put_policy(bad).unwrap();
         nearrt.poll().unwrap();
         node.poll().unwrap();
         nearrt.poll().unwrap();
         let events = nonrt.poll().unwrap();
-        assert!(applied.lock().unwrap().is_empty());
+        assert!(node.take_applied().is_empty());
         assert_eq!(
             events,
             vec![RicEvent::PolicyFeedback { policy_id: id, status: PolicyStatus::Rejected }]
         );
-        assert_eq!(nonrt.enforced_count(), 0);
+    }
+
+    #[test]
+    fn a_policy_applied_before_an_undecodable_frame_is_still_reported() {
+        let (e2_up, e2_down) = duplex_pair();
+        let mut node = E2Node::new(e2_down);
+        let ctrl = E2Message::ControlRequest { airtime_milli: 350, max_mcs: 17 };
+        e2_up.send(E2Codec::encode(&ctrl)).unwrap();
+        // A complete one-byte E2 frame whose tag no message uses.
+        e2_up.send(vec![0, 0, 0, 1, 0xff]).unwrap();
+        assert!(matches!(node.poll(), Err(OranError::Codec(_))));
+        assert_eq!(node.take_applied(), [RadioPolicy { airtime: 0.35, max_mcs: 17 }]);
+        let mut ack = e2_up.try_recv().unwrap().expect("the applied request was acked");
+        assert_eq!(E2Codec::decode(&mut ack).unwrap(), Some(E2Message::ControlAck));
     }
 
     #[test]
     fn kpi_indications_reach_the_learning_agent() {
-        let (mut nonrt, mut nearrt, mut node, _) = chain();
+        let (mut nonrt, mut nearrt, mut node) = chain();
         nearrt.subscribe_kpis(1000).unwrap();
         node.poll().unwrap(); // subscription handled
         assert!(node.is_subscribed());
@@ -607,7 +588,7 @@ mod tests {
 
     #[test]
     fn unsubscribed_indications_are_dropped() {
-        let (mut nonrt, mut nearrt, mut node, _) = chain();
+        let (mut nonrt, mut nearrt, mut node) = chain();
         node.indicate(KpiReport { t_ms: 1, bs_power_mw: 1, duty_milli: 0, mean_mcs_centi: 0 })
             .unwrap();
         nearrt.poll().unwrap();
@@ -616,7 +597,7 @@ mod tests {
 
     #[test]
     fn delete_policy_round_trip() {
-        let (mut nonrt, mut nearrt, _node, _) = chain();
+        let (mut nonrt, mut nearrt, _node) = chain();
         // Deploy then delete; the near-RT RIC acknowledges deletion.
         let p = RadioPolicy { airtime: 0.5, max_mcs: 10 };
         let id = nonrt.put_policy(p).unwrap();
@@ -632,7 +613,7 @@ mod tests {
 
     #[test]
     fn reset_session_discards_stale_state_across_the_chain() {
-        let (mut nonrt, mut nearrt, mut node, applied) = chain();
+        let (mut nonrt, mut nearrt, mut node) = chain();
         nearrt.subscribe_kpis(1000).unwrap();
         node.poll().unwrap();
         assert!(node.is_subscribed());
@@ -646,7 +627,7 @@ mod tests {
         assert_eq!(nonrt.reset_session().unwrap(), 0);
         // The discarded request is never applied, even after new polls.
         node.poll().unwrap();
-        assert!(applied.lock().unwrap().is_empty());
+        assert!(node.take_applied().is_empty());
         // The chain re-handshakes cleanly under the new session.
         nearrt.subscribe_kpis(1000).unwrap();
         node.poll().unwrap();
@@ -655,7 +636,7 @@ mod tests {
 
     #[test]
     fn probe_links_discards_and_survives_dead_links() {
-        let (mut nonrt, mut nearrt, mut node, _) = chain();
+        let (mut nonrt, mut nearrt, mut node) = chain();
         nearrt.subscribe_kpis(1000).unwrap();
         node.poll().unwrap();
         node.indicate(KpiReport { t_ms: 9, bs_power_mw: 10, duty_milli: 0, mean_mcs_centi: 0 })
@@ -674,7 +655,7 @@ mod tests {
 
     #[test]
     fn sequential_policies_get_distinct_ids() {
-        let (mut nonrt, _nearrt, _node, _) = chain();
+        let (mut nonrt, _nearrt, _node) = chain();
         let a = nonrt.put_policy(RadioPolicy { airtime: 0.1, max_mcs: 1 }).unwrap();
         let b = nonrt.put_policy(RadioPolicy { airtime: 0.2, max_mcs: 2 }).unwrap();
         assert_ne!(a, b);

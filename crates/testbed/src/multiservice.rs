@@ -69,11 +69,6 @@ impl MultiServiceTestbed {
         }
     }
 
-    /// Number of services.
-    pub fn num_services(&self) -> usize {
-        self.services.len()
-    }
-
     /// Current period.
     pub fn period(&self) -> usize {
         self.period
@@ -83,7 +78,7 @@ impl MultiServiceTestbed {
     /// power draws. Noiseless; `step` adds the measurement noise.
     ///
     /// # Panics
-    /// Panics if `controls.len() != self.num_services()`.
+    /// Panics unless `controls` holds one control per service.
     pub fn joint_steady_state(&self, controls: &[ControlInput]) -> JointSteadyState {
         assert_eq!(controls.len(), self.services.len(), "one control per service");
         let c = &self.calib;

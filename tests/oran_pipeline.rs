@@ -11,7 +11,6 @@ use edgebol_oran::{
 };
 use edgebol_testbed::{Calibration, FlowTestbed, Scenario};
 use std::net::TcpListener;
-use std::sync::{Arc, Mutex};
 use std::thread;
 
 #[test]
@@ -19,23 +18,22 @@ fn a1_json_interoperates_with_e2_binary_end_to_end() {
     // Full chain: policy in as JSON, control out as binary, ack back up.
     let (a1_up, a1_down) = duplex_pair();
     let (e2_up, e2_down) = duplex_pair();
-    let applied = Arc::new(Mutex::new(Vec::new()));
-    let sink = applied.clone();
-    let mut node = E2Node::new(e2_down, Box::new(move |p| sink.lock().unwrap().push(p)));
+    let mut node = E2Node::new(e2_down);
     let mut nonrt = NonRtRic::new(a1_up);
     let mut nearrt = NearRtRic::new(a1_down, e2_up);
 
+    let mut applied = Vec::new();
     for (airtime, mcs) in [(1.0, 28u8), (0.75, 20), (0.5, 12), (0.25, 4)] {
         nonrt.put_policy(RadioPolicy { airtime, max_mcs: mcs }).unwrap();
         nearrt.poll().unwrap();
         node.poll().unwrap();
+        applied.extend(node.take_applied());
         nearrt.poll().unwrap();
         let events = nonrt.poll().unwrap();
         assert!(events
             .iter()
             .any(|e| matches!(e, RicEvent::PolicyFeedback { status: PolicyStatus::Enforced, .. })));
     }
-    let applied = applied.lock().unwrap();
     assert_eq!(applied.len(), 4);
     assert_eq!(applied[2], RadioPolicy { airtime: 0.5, max_mcs: 12 });
 }
@@ -149,7 +147,7 @@ fn orchestrator_policies_actually_transit_the_control_plane() {
 #[test]
 fn corrupted_e2_stream_is_rejected_not_misparsed() {
     let (up, down) = duplex_pair();
-    let mut node = E2Node::new(down, Box::new(|_| {}));
+    let mut node = E2Node::new(down);
     // A frame with a valid length header but garbage tag.
     let mut buf = 3u32.to_be_bytes().to_vec();
     buf.extend_from_slice(&[0xFF, 0x01, 0x02]);
